@@ -1,14 +1,12 @@
 """kasnerlab: a numerical laboratory for Kasner-like vacuum singularities.
 
-Three pillars:
+Two pillars:
   - asymptotic data on the singularity: exponent fields p_i(x) with
     sum p_i = sum p_i^2 = 1 plus metric coefficients c_ij satisfying a
     differential momentum constraint, generated by transport solves;
   - an iteration scheme producing approximate solutions (frame, coframe,
-    second fundamental form) with verifiable decay rates as t -> 0;
-  - forward evolution of the first-order symmetric hyperbolic system for
-    (e_Ia, k_IJ, gamma_IJB) from an iterate, with energy and constraint
-    monitoring.
+    second fundamental form) with verifiable decay rates as t -> 0, checked
+    by the geometric constraint and spacetime-Ricci residuals of geometry.py.
 """
 
 __version__ = "0.1.0"

@@ -32,15 +32,3 @@ class NonIntegrableError(KasnerLabError):
 class SingularFrameError(KasnerLabError):
     """Frame matrix not invertible at some grid point."""
 
-
-class CflError(KasnerLabError):
-    """Requested time step violates the CFL bound."""
-
-
-class EnergyCeilingError(KasnerLabError):
-    """Evolution remainder energy exceeded the configured t^N0 ceiling."""
-
-    def __init__(self, message, t=None, growth_exponent=None):
-        super().__init__(message)
-        self.t = t
-        self.growth_exponent = growth_exponent

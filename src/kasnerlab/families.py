@@ -20,7 +20,6 @@ import numpy as np
 
 from .asymdata import (
     AsymptoticDataSet,
-    KasnerExponents,
     assemble_dataset,
     exponents_from_u,
 )
@@ -157,21 +156,3 @@ def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     c[j - 1, i - 1] = c[i - 1, j - 1]
     return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
 
-
-def perturb_exponents(data, amp=0.01, axis=3):
-    """Copy of data whose p3/p2 are shifted by +-amp * sine, breaking both sum relations.
-
-    The exponent object is built unchecked; gaps stay open for small amp.
-    Used by diagnostics that need data violating the algebraic relations.
-    """
-    grid = data.grid
-    x = grid.mesh(axis)
-    bump = amp * np.sin(2.0 * np.pi * x / grid.delta)
-    p = KasnerExponents(
-        grid,
-        data.p.p1,
-        data.p.p2 - bump,
-        data.p.p3 + bump,
-        check=False,
-    )
-    return AsymptoticDataSet(grid, p, data.c, seam=data.seam)

@@ -106,6 +106,10 @@ def gamma_from_frame(e, omega, grid, order=4):
     return 0.25 * (raw - np.swapaxes(raw, 1, 2))
 
 
+# the independent (J < C) slots of gamma[I, J, C]
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def spatial_ricci(e, omega, gamma, grid, order=4):
     """Slice Ricci in frame components:
 
@@ -114,9 +118,22 @@ def spatial_ricci(e, omega, gamma, grid, order=4):
 
     Not symmetrized: an evolved connection need not be Levi-Civita, and the
     antisymmetric part is itself a useful monitor.
+
+    Only the J < C components of gamma are differentiated; the mirrored
+    derivatives are their negatives and the diagonal ones zero.  That reads
+    gamma as exactly antisymmetric in its last two slots, which
+    gamma_from_frame produces and FrameState enforces (to rounding).
     """
     del omega  # part of the operation signature; the formula needs only e
-    dgam = np.stack([_grid_fd(grid, gamma, ax, order) for ax in (1, 2, 3)])
+    upper = np.stack([gamma[:, j, c] for j, c in _PAIRS], axis=1)
+    dgam = np.empty((3,) + gamma.shape)
+    for j in range(3):
+        dgam[:, :, j, j] = 0.0
+    for b, ax in enumerate((1, 2, 3)):
+        d = _grid_fd(grid, upper, ax, order)
+        for p, (j, c) in enumerate(_PAIRS):
+            dgam[b, :, j, c] = d[:, p]
+            np.negative(d[:, p], out=dgam[b, :, c, j])
     r = np.einsum("cb...,bijc...->ij...", e, dgam)
     trace13 = np.einsum("cjc...->j...", gamma)
     dtr = np.stack([_grid_fd(grid, trace13, ax, order) for ax in (1, 2, 3)])

@@ -107,10 +107,6 @@ class LogTimeGrid:
             raise GridError(f"t={t} is not a node of {self!r}")
         return j
 
-    def nearest_index(self, t):
-        j = int(round((math.log(t) - self.s[0]) / self.h_s))
-        return min(max(j, 0), self.n_steps - 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, LogTimeGrid)
@@ -205,15 +201,43 @@ _ONESIDED = {
 }
 
 
-def _fd_periodic(values, axis, order, h):
+def _flat_stencil(values, axis, order, h):
+    """Centered derivative along `axis` of a C-contiguous array, run on its
+    flat view: k nodes along the axis are k*step entries there, so every
+    operation streams over one contiguous span.  The order//2 nodes next to
+    each face read into the neighbouring row and are left for the caller."""
+    w = order // 2
+    step = math.prod(values.shape[axis + 1 :])
+    span = values.size - 2 * w * step
+    flat = values.reshape(-1)
+
+    def shift(k):
+        return flat[(w + k) * step :][:span]
+
+    df = np.empty_like(values)
+    out = np.subtract(shift(1), shift(-1), out=df.reshape(-1)[w * step :][:span])
     if order == 4:
         # difference grouping keeps the stencil exactly zero on fields that
-        # are constant along the axis (rolls are then bitwise equal)
-        return (
-            8.0 * (np.roll(values, -1, axis) - np.roll(values, 1, axis))
-            - (np.roll(values, -2, axis) - np.roll(values, 2, axis))
-        ) / (12.0 * h)
-    return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
+        # are constant along the axis
+        out *= 8.0
+        out -= shift(2) - shift(-2)
+        out /= 12.0 * h
+    else:
+        out /= 2.0 * h
+    return df
+
+
+def _fd_periodic(values, axis, order, h):
+    values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
+    w = order // 2
+    n = values.shape[axis]
+    df = _flat_stencil(values, axis, order, h)
+    # redo the face nodes on the wrapped slab of nodes n-2w..n-1, 0..2w-1
+    seam = _flat_stencil(np.take(values, np.arange(-2 * w, 2 * w), axis=axis), axis, order, h)
+    faces, seam = np.moveaxis(df, axis, 0), np.moveaxis(seam, axis, 0)
+    faces[n - w :] = seam[w : 2 * w]
+    faces[:w] = seam[2 * w : 3 * w]
+    return df
 
 
 def _fd_onesided_patch(df, values, axis, order, h):
@@ -343,8 +367,13 @@ def log_time_cumint(samples, tgrid, with_tail=True):
         out[0] = _tail_below_first_node(m, tgrid.h_s)
     else:
         out[0] = 0.0
-    np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
-    out[1:] += out[0]
+    half = 0.5 * tgrid.h_s
+    run = half * (m[1] + m[0])
+    out[1] = run + out[0]
+    # slab by slab: np.cumsum along a leading axis runs a slow strided inner loop
+    for j in range(2, m.shape[0]):
+        run += half * (m[j] + m[j - 1])
+        out[j] = run + out[0]
     return out
 
 

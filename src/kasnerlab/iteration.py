@@ -34,33 +34,11 @@ MAX_TOWER_LEVEL = 4
 ENVELOPE_SLACK = 0.15
 
 
-def _zeroth_series(data, times):
-    """Closed-form level-0 series (e, omega, k) on the time grid."""
-    grid = data.grid
-    pv = data.p.as_array()
-    m = times.n_steps
-    e = np.zeros((m, 3, 3) + grid.shape)
-    omega = np.zeros((m, 3, 3) + grid.shape)
-    k = np.zeros((m, 3, 3) + grid.shape)
-    for r, t in enumerate(times.times):
-        logt = np.log(t)
-        down = np.exp(-pv * logt)  # t^{-p_I}, shape (3,)+grid
-        up = np.exp(pv * logt)
-        for i in range(3):
-            k[r, i, i] = -pv[i] / t
-            for a in range(3):
-                if data.f[i, a].any():
-                    e[r, i, a] = data.f[i, a] * down[i]
-                if data.h[i, a].any():
-                    omega[r, i, a] = data.h[i, a] * up[a]
-    return e, omega, k
-
-
 class IterateSet:
     """One tower level: frame, coframe, and k series on the time grid.
 
-    gamma is derived (never evolved here); it is computed from the frame on
-    first use and cached, since the full series triples the memory bill.
+    gamma is derived (never evolved here) and computed from the frame per
+    node on use, since a stored series would triple the memory bill.
     """
 
     def __init__(self, n, data, times, e, omega, k, asym_norms=None):
@@ -73,26 +51,13 @@ class IterateSet:
         self.eps = data.p.eps
         self.asym_norms = asym_norms
         self.envelope_report = []
-        self._gamma = None
 
     @property
     def grid(self):
         return self.data.grid
 
     def gamma_at(self, index, order=4):
-        if self._gamma is not None:
-            return self._gamma[index]
         return gamma_from_frame(self.e[index], self.omega[index], self.grid, order)
-
-    def gamma_series(self, order=4):
-        if self._gamma is None:
-            self._gamma = np.stack(
-                [
-                    gamma_from_frame(self.e[r], self.omega[r], self.grid, order)
-                    for r in range(self.times.n_steps)
-                ]
-            )
-        return self._gamma
 
     def ricci_at(self, index, order=4):
         return spatial_ricci(
@@ -109,20 +74,25 @@ class IterateSet:
             self.times.times[index],
         )
 
-    def frame_states(self, indices=None, order=4):
-        if indices is None:
-            indices = range(self.times.n_steps)
-        return [self.state_at(r, order) for r in indices]
-
-    def sup_norm_series(self, which="k"):
-        """Per-node sup norm of a stored series ('e', 'omega', 'k')."""
-        arr = {"e": self.e, "omega": self.omega, "k": self.k}[which]
-        m = self.times.n_steps
-        return np.abs(arr).reshape(m, -1).max(axis=1)
-
 
 def zeroth_iterate(data, times):
-    e, omega, k = _zeroth_series(data, times)
+    """Level 0 in closed form: e = f t^-p, omega = h t^p, k = -diag(p)/t."""
+    pv = data.p.as_array()[None]
+    t = _broadcast_times(times, pv.ndim)
+    logt = np.log(t)
+    down = np.exp(-pv * logt)  # t^{-p_I}
+    up = np.exp(pv * logt)
+    e = np.zeros((times.n_steps, 3, 3) + data.grid.shape)
+    omega = np.zeros_like(e)
+    for i, a in np.ndindex(3, 3):
+        # entries that vanish identically stay +0.0 (f and h hold some as -0.0)
+        if data.f[i, a].any():
+            e[:, i, a] = data.f[i, a] * down[:, i]
+        if data.h[i, a].any():
+            omega[:, i, a] = data.h[i, a] * up[:, a]
+    k = np.zeros_like(e)
+    diag = np.arange(3)
+    k[:, diag, diag] = -pv / t
     return IterateSet(0, data, times, e, omega, k)
 
 
@@ -144,8 +114,8 @@ def _check_contraction(n, big_w):
         )
 
 
-def advance_k(n, previous):
-    """Level-n second fundamental form from level n-1.
+def advance_k(n, previous, zeroth):
+    """Level-n second fundamental form from level n-1 and level 0.
 
     Returns (k_series, asym_norms): the symmetrized update and the
     per-node sup norm of the part the symmetrization discarded.
@@ -155,7 +125,7 @@ def advance_k(n, previous):
     data, times = previous.data, previous.times
     grid = data.grid
     m = times.n_steps
-    _, _, k0 = _zeroth_series(data, times)
+    k0 = zeroth.k
 
     w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
     big_w = log_time_cumint(w, times)
@@ -175,8 +145,8 @@ def advance_k(n, previous):
     return k_n - asym, asym_norms
 
 
-def advance_e(n, k_n, previous):
-    """Level-n frame from the freshly advanced k and level n-1.
+def advance_e(n, k_n, previous, zeroth):
+    """Level-n frame from the freshly advanced k, level n-1 and level 0.
 
     The diagonal of k couples at level n (it sits in the integrating
     factor); off-diagonal terms enter the source at level n-1, as the
@@ -188,7 +158,7 @@ def advance_e(n, k_n, previous):
     grid = data.grid
     m = times.n_steps
     pv = data.p.as_array()
-    e0, _, k0 = _zeroth_series(data, times)
+    e0, k0 = zeroth.e, zeroth.k
 
     w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
     big_w = log_time_cumint(w_diag, times)
@@ -274,8 +244,8 @@ def build_tower(data, times, n_max, fit_decades=2.0):
     mask = _fit_window(times, fit_decades)
     for n in range(1, n_max + 1):
         prev = levels[-1]
-        k_n, asym_norms = advance_k(n, prev)
-        e_n, omega_n = advance_e(n, k_n, prev)
+        k_n, asym_norms = advance_k(n, prev, levels[0])
+        e_n, omega_n = advance_e(n, k_n, prev, levels[0])
         level = IterateSet(n, data, times, e_n, omega_n, k_n, asym_norms)
         diff = np.abs(k_n - prev.k).reshape(times.n_steps, -1).max(axis=1)
         predicted = -1.0 + n * eps

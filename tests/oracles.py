@@ -3,13 +3,15 @@
 Everything here must stay implementation-independent: coordinate-space
 Christoffel assembly for curvature/connection checks, reference ODE solves
 for the integrating-factor updates, and closed forms for fixed data families.
-The library itself never imports this module.
+The `*_reference` kernels are the plain formulas the optimised library
+kernels must reproduce bit for bit.  The library itself never imports this
+module.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.grids import fd_diff
+from kasnerlab.grids import LOCALIZED, _fd_onesided_patch, _tail_below_first_node, fd_diff
 
 
 def christoffel_from_metric(g, h, order=4, mode="periodic"):
@@ -227,3 +229,66 @@ def kasner_symbolic_ricci():
                 - sum(gam[a][b][d] * gam[d][a][c] for a in range(n) for d in range(n))
             )
     return ric, p, t
+
+
+def roll_stencil_reference(values, axis, order, h, mode="periodic"):
+    """Centered first derivative along axis (1..3 from the end) by np.roll,
+    with the library's one-sided face rows in localized mode."""
+    ax = values.ndim - 3 + (axis - 1)
+    if order == 4:
+        df = (
+            8.0 * (np.roll(values, -1, ax) - np.roll(values, 1, ax))
+            - (np.roll(values, -2, ax) - np.roll(values, 2, ax))
+        ) / (12.0 * h)
+    else:
+        df = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2.0 * h)
+    if mode == LOCALIZED:
+        _fd_onesided_patch(df, values, ax, order, h)
+    return df
+
+
+def spatial_ricci_reference(e, gamma, grid, order=4):
+    """Frame Ricci differentiating all 27 components of gamma."""
+
+    def fd(values, ax):
+        return fd_diff(values, ax, order, grid.h, grid.mode)
+
+    dgam = np.stack([fd(gamma, ax) for ax in (1, 2, 3)])
+    r = np.einsum("cb...,bijc...->ij...", e, dgam)
+    trace13 = np.einsum("cjc...->j...", gamma)
+    dtr = np.stack([fd(trace13, ax) for ax in (1, 2, 3)])
+    r -= np.einsum("ib...,bj...->ij...", e, dtr)
+    r -= np.einsum("cid...,djc...->ij...", gamma, gamma)
+    r -= np.einsum("ijd...,d...->ij...", gamma, np.einsum("ccd...->d...", gamma))
+    return r
+
+
+def cumsum_cumint_reference(samples, tgrid, with_tail=True):
+    """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
+    the library's power-law tail below t_min."""
+    m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
+    out = np.empty_like(m)
+    out[0] = _tail_below_first_node(m, tgrid.h_s) if with_tail else 0.0
+    np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
+    out[1:] += out[0]
+    return out
+
+
+def zeroth_series_reference(data, times):
+    """Closed-form level-0 series (e, omega, k), node by node: e = f t^-p,
+    omega = h t^p, k = -diag(p)/t, with identically zero entries left +0.0."""
+    pv = data.p.as_array()
+    shape = (times.n_steps, 3, 3) + data.grid.shape
+    e, omega, k = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for r, t in enumerate(times.times):
+        logt = np.log(t)
+        down = np.exp(-pv * logt)
+        up = np.exp(pv * logt)
+        for i in range(3):
+            k[r, i, i] = -pv[i] / t
+            for a in range(3):
+                if data.f[i, a].any():
+                    e[r, i, a] = data.f[i, a] * down[i]
+                if data.h[i, a].any():
+                    omega[r, i, a] = data.h[i, a] * up[a]
+    return e, omega, k

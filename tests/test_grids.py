@@ -24,6 +24,8 @@ from kasnerlab.grids import (
     ws_norm,
 )
 
+from oracles import cumsum_cumint_reference, roll_stencil_reference
+
 DELTA = 2 * math.pi
 
 
@@ -148,6 +150,16 @@ class TestFdDerivative:
         exact = np.broadcast_to(3 * x**2 - 4 * x + 1, g.shape)
         assert np.max(np.abs(df - exact)) < 1e-11
 
+    @pytest.mark.parametrize("mode", ["periodic", "localized"])
+    @pytest.mark.parametrize("lead", [(), (3, 3), (3, 3, 3)], ids=["scalar", "rank2", "rank3"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_roll_reference_bitwise(self, order, lead, mode):
+        # axis 1 has the fewest nodes order 4 allows, so its face slabs overlap
+        values = np.random.default_rng(7).normal(size=lead + (5, 8, 11))
+        for axis in (1, 2, 3):
+            got = fd_diff(values, axis, order, 0.3, mode)
+            assert np.array_equal(got, roll_stencil_reference(values, axis, order, 0.3, mode))
+
     def test_periodic_sawtooth_documented_behavior(self):
         # f = x1 on a periodic grid: interior derivative is fine, the seam
         # rows see the jump. This is accepted behavior, not an error.
@@ -236,6 +248,18 @@ class TestLogTimeIntegral:
         g = tg.times**0.3
         val = log_time_integral(g, tg)
         assert val == pytest.approx(1 / 1.3, rel=3e-5)
+
+    @pytest.mark.parametrize("with_tail", [True, False])
+    def test_matches_cumsum_reference_bitwise(self, with_tail):
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        t = tg.times
+        rng = np.random.default_rng(3)
+        series_1d = t**-0.5 * (1.0 + 0.1 * np.sin(np.log(t)))
+        amp = rng.normal(size=(1, 3, 3, 4, 5, 6))
+        series_6d = t.reshape(-1, 1, 1, 1, 1, 1) ** -0.3 * amp
+        for series in (series_1d, series_6d):
+            got = log_time_cumint(series, tg, with_tail)
+            assert np.array_equal(got, cumsum_cumint_reference(series, tg, with_tail))
 
     def test_vector_components_independent(self):
         tg = LogTimeGrid(1e-6, 1.0, 128)

@@ -1,0 +1,70 @@
+"""Tests for the approximate-solution tower: the closed-form level 0, the
+homogeneous fixed point, and the decay-rate fit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kasnerlab.errors import ConfigError
+from kasnerlab.families import homogeneous_dataset, u_wave_dataset
+from kasnerlab.grids import LogTimeGrid, SpatialGrid
+from kasnerlab.iteration import build_tower, fit_decay_rate, zeroth_iterate
+
+from oracles import zeroth_series_reference
+
+DELTA = 2.0 * math.pi
+
+
+def time_grid():
+    return LogTimeGrid(1e-4, 1e-1, 41)
+
+
+class TestZerothIterate:
+    def test_matches_node_by_node_closed_form_bitwise(self):
+        data = u_wave_dataset(SpatialGrid(DELTA, 8))
+        level = zeroth_iterate(data, time_grid())
+        for got, want in zip((level.e, level.omega, level.k), zeroth_series_reference(data, time_grid())):
+            # tobytes also tells +0.0 from -0.0
+            assert got.tobytes() == want.tobytes()
+
+
+class TestHomogeneousTower:
+    def test_levels_sit_at_the_fixed_point(self):
+        levels = build_tower(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid(), 2)
+        base = levels[0]
+        assert [lv.n for lv in levels] == [0, 1, 2]
+        for lv in levels[1:]:
+            assert np.array_equal(lv.e, base.e)
+            assert np.array_equal(lv.k, base.k)
+            # levels >= 1 invert e where level 0 uses h t^p: equal to rounding
+            # (measured 3e-16 relative)
+            assert np.all(np.abs(lv.omega - base.omega) <= 1e-15 * np.abs(base.omega))
+            assert lv.envelope_report[0]["fitted"] is None
+
+
+class TestFitDecayRate:
+    def test_recovers_planted_slope(self):
+        t = np.logspace(-4, -1, 20)
+        slope, intercept, r2 = fit_decay_rate(t, 3.0 * t**-0.7)
+        assert slope == pytest.approx(-0.7, abs=1e-12)
+        assert intercept == pytest.approx(math.log(3.0), abs=1e-11)
+        assert r2 == 1.0
+
+    def test_too_few_samples_rejected(self):
+        t = np.logspace(-4, -1, 5)
+        with pytest.raises(ConfigError, match="at least 6 samples"):
+            fit_decay_rate(t, t**-0.5)
+
+    def test_short_span_rejected(self):
+        t = np.logspace(-4, -2.6, 10)  # 1.4 decades
+        with pytest.raises(ConfigError, match="1.5 decades"):
+            fit_decay_rate(t, t**-0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_norms_rejected(self, bad):
+        t = np.logspace(-4, -1, 10)
+        norms = t**-0.5
+        norms[3] = bad
+        with pytest.raises(ConfigError, match="strictly positive"):
+            fit_decay_rate(t, norms)
