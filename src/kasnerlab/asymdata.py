@@ -314,6 +314,31 @@ def _check_gaps(p):
         raise DegenerateExponentsError("exponent gaps too small for the transport solves")
 
 
+def _positive_diagonal(grid, **fields):
+    """The named diagonal metric entries as grid arrays, each checked positive."""
+    arrays = []
+    for name, x in fields.items():
+        arr = _values_on(grid, x, name)
+        if np.any(arr <= 0.0):
+            raise ConfigError(f"{name} must be positive everywhere")
+        arrays.append(arr)
+    return arrays
+
+
+def _c11_transport(p, c22, c11_slice, order):
+    """c11 and the x^3 integrand of its logarithm (see solve_c11)."""
+    grid = p.grid
+    _check_gaps(p)
+    (c22,) = _positive_diagonal(grid, c22=c22)
+    lc0 = np.log(_slice_on(grid, c11_slice, "c11_slice", default=1.0))
+    if not np.all(np.isfinite(lc0)):
+        raise ConfigError("c11_slice must be positive everywhere")
+    dl22 = fd_diff(np.log(c22), 3, order, grid.h, grid.mode)
+    dp3 = fd_diff(p.p3, 3, order, grid.h, grid.mode)
+    integrand = ((p.p3 - p.p2) * dl22 + 2.0 * dp3) / (p.p3 - p.p1)
+    return np.exp(lc0 - _cumint_x3(integrand, grid)), integrand
+
+
 def solve_c11(p, c22, c11_slice=None, order=4):
     """Integrate the x^3-direction constraint for c11.
 
@@ -322,29 +347,37 @@ def solve_c11(p, c22, c11_slice=None, order=4):
 
     The slice at x^3 = 0 defaults to 1.  Positive c22 is required.
     """
+    return _c11_transport(p, c22, c11_slice, order)[0]
+
+
+def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
+    """Integrating-factor solve shared by the kappa transports.
+
+    kappa = [mu(0) kappa(0) + int_0^{x^3} mu * rhs] / mu with mu = sqrt(V),
+    V = c11 c22 c33, and the right side rhs(log c11, log c22, log c33, log V).
+    Returns kappa, the integrand mu * rhs and mu.
+    """
     grid = p.grid
     _check_gaps(p)
-    c22 = _values_on(grid, c22, "c22")
-    if np.any(c22 <= 0.0):
-        raise ConfigError("c22 must be positive everywhere")
-    lc0 = np.log(_slice_on(grid, c11_slice, "c11_slice", default=1.0))
-    if not np.all(np.isfinite(lc0)):
-        raise ConfigError("c11_slice must be positive everywhere")
-    dl22 = fd_diff(np.log(c22), 3, order, grid.h, grid.mode)
-    dp3 = fd_diff(p.p3, 3, order, grid.h, grid.mode)
-    integrand = ((p.p3 - p.p2) * dl22 + 2.0 * dp3) / (p.p3 - p.p1)
-    return np.exp(lc0 - _cumint_x3(integrand, grid))
-
-
-def _kappa23_pieces(p, c11, c22, c33, order, grid):
-    log_v = np.log(c11) + np.log(c22) + np.log(c33)
+    logs = [np.log(c) for c in _positive_diagonal(grid, c11=c11, c22=c22, c33=c33)]
+    kap0 = _slice_on(grid, kappa_slice, slice_name, default=0.0)
+    log_v = logs[0] + logs[1] + logs[2]
     mu = np.exp(0.5 * log_v)
-    rhs = (
-        0.5 * (p.p2 - p.p1) * fd_diff(np.log(c11), 2, order, grid.h, grid.mode)
-        + 0.5 * (p.p2 - p.p3) * fd_diff(np.log(c33), 2, order, grid.h, grid.mode)
-        + fd_diff(p.p2, 2, order, grid.h, grid.mode)
-    )
-    return mu, rhs
+    integrand = mu * rhs(*logs, log_v)
+    return (mu[:, :, :1] * kap0 + _cumint_x3(integrand, grid)) / mu, integrand, mu
+
+
+def _kappa23_transport(p, c11, c22, c33, kappa23_slice, order):
+    grid = p.grid
+
+    def rhs(log_c11, log_c22, log_c33, log_v):
+        return (
+            0.5 * (p.p2 - p.p1) * fd_diff(log_c11, 2, order, grid.h, grid.mode)
+            + 0.5 * (p.p2 - p.p3) * fd_diff(log_c33, 2, order, grid.h, grid.mode)
+            + fd_diff(p.p2, 2, order, grid.h, grid.mode)
+        )
+
+    return _kappa_transport(p, c11, c22, c33, kappa23_slice, "kappa23_slice", rhs)
 
 
 def solve_kappa23(p, c11, c22, c33, kappa23_slice=None, order=4):
@@ -356,31 +389,23 @@ def solve_kappa23(p, c11, c22, c33, kappa23_slice=None, order=4):
     solved as kappa = [mu(0) kappa(0) + int_0^{x^3} mu * rhs] / mu with
     mu = sqrt(V), V = c11 c22 c33.  Slice defaults to 0.
     """
+    return _kappa23_transport(p, c11, c22, c33, kappa23_slice, order)[0]
+
+
+def _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order):
     grid = p.grid
-    _check_gaps(p)
-    c11 = _values_on(grid, c11, "c11")
-    c22 = _values_on(grid, c22, "c22")
-    c33 = _values_on(grid, c33, "c33")
-    for name, arr in (("c11", c11), ("c22", c22), ("c33", c33)):
-        if np.any(arr <= 0.0):
-            raise ConfigError(f"{name} must be positive everywhere")
-    kap0 = _slice_on(grid, kappa23_slice, "kappa23_slice", default=0.0)
-    mu, rhs = _kappa23_pieces(p, c11, c22, c33, order, grid)
-    mu0 = mu[:, :, :1]
-    return (mu0 * kap0 + _cumint_x3(mu * rhs, grid)) / mu
+    kappa12 = _values_on(grid, kappa12, "kappa12")
 
+    def rhs(log_c11, log_c22, log_c33, log_v):
+        return 0.5 * (
+            (p.p1 - p.p2) * fd_diff(log_c22, 1, order, grid.h, grid.mode)
+            + (p.p1 - p.p3) * fd_diff(log_c33, 1, order, grid.h, grid.mode)
+            + 2.0 * fd_diff(p.p1, 1, order, grid.h, grid.mode)
+            - 2.0 * fd_diff(kappa12, 2, order, grid.h, grid.mode)
+            - kappa12 * fd_diff(log_v, 2, order, grid.h, grid.mode)
+        )
 
-def _kappa13_pieces(p, c11, c22, c33, kappa12, order, grid):
-    log_v = np.log(c11) + np.log(c22) + np.log(c33)
-    mu = np.exp(0.5 * log_v)
-    rhs = 0.5 * (
-        (p.p1 - p.p2) * fd_diff(np.log(c22), 1, order, grid.h, grid.mode)
-        + (p.p1 - p.p3) * fd_diff(np.log(c33), 1, order, grid.h, grid.mode)
-        + 2.0 * fd_diff(p.p1, 1, order, grid.h, grid.mode)
-        - 2.0 * fd_diff(kappa12, 2, order, grid.h, grid.mode)
-        - kappa12 * fd_diff(log_v, 2, order, grid.h, grid.mode)
-    )
-    return mu, rhs
+    return _kappa_transport(p, c11, c22, c33, kappa13_slice, "kappa13_slice", rhs)
 
 
 def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None, order=4):
@@ -392,19 +417,7 @@ def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None, order=4):
 
     with the same integrating factor mu = sqrt(V) as the kappa_2^3 solve.
     """
-    grid = p.grid
-    _check_gaps(p)
-    c11 = _values_on(grid, c11, "c11")
-    c22 = _values_on(grid, c22, "c22")
-    c33 = _values_on(grid, c33, "c33")
-    for name, arr in (("c11", c11), ("c22", c22), ("c33", c33)):
-        if np.any(arr <= 0.0):
-            raise ConfigError(f"{name} must be positive everywhere")
-    kappa12 = _values_on(grid, kappa12, "kappa12")
-    kap0 = _slice_on(grid, kappa13_slice, "kappa13_slice", default=0.0)
-    mu, rhs = _kappa13_pieces(p, c11, c22, c33, kappa12, order, grid)
-    mu0 = mu[:, :, :1]
-    return (mu0 * kap0 + _cumint_x3(mu * rhs, grid)) / mu
+    return _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order)[0]
 
 
 def assemble_dataset(
@@ -431,9 +444,9 @@ def assemble_dataset(
     c33 = _values_on(grid, c33, "c33")
     kappa12 = _values_on(grid, kappa12, "kappa12")
 
-    c11 = solve_c11(p, c22, c11_slice, order=order)
-    k23 = solve_kappa23(p, c11, c22, c33, kappa23_slice, order=order)
-    k13 = solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice, order=order)
+    c11, c11_integrand = _c11_transport(p, c22, c11_slice, order)
+    k23, k23_integrand, mu = _kappa23_transport(p, c11, c22, c33, kappa23_slice, order)
+    k13, k13_integrand, _ = _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order)
 
     c12 = kappa12 * c22 / (p.p1 - p.p2)
     c23 = k23 * c33 / (p.p2 - p.p3)
@@ -447,15 +460,11 @@ def assemble_dataset(
 
     seam = None
     if grid.mode == PERIODIC:
-        dl22 = fd_diff(np.log(c22), 3, order, grid.h, grid.mode)
-        dp3 = fd_diff(p.p3, 3, order, grid.h, grid.mode)
-        loop_c11 = _loop_integral_x3(((p.p3 - p.p2) * dl22 + 2.0 * dp3) / (p.p3 - p.p1), grid)
-        mu23, rhs23 = _kappa23_pieces(p, c11, c22, c33, order, grid)
-        mu13, rhs13 = _kappa13_pieces(p, c11, c22, c33, kappa12, order, grid)
+        # the integrands the transports integrated, over one full period
         seam = SeamReport(
-            c11_jump=np.max(np.abs(loop_c11)),
-            kappa23_jump=np.max(np.abs(_loop_integral_x3(mu23 * rhs23, grid) / mu23[:, :, 0])),
-            kappa13_jump=np.max(np.abs(_loop_integral_x3(mu13 * rhs13, grid) / mu13[:, :, 0])),
+            c11_jump=np.max(np.abs(_loop_integral_x3(c11_integrand, grid))),
+            kappa23_jump=np.max(np.abs(_loop_integral_x3(k23_integrand, grid) / mu[:, :, 0])),
+            kappa13_jump=np.max(np.abs(_loop_integral_x3(k13_integrand, grid) / mu[:, :, 0])),
         )
 
     return AsymptoticDataSet(grid, p, c, seam=seam)

@@ -8,9 +8,9 @@ antisymmetric in the last two slots by construction; curvature and the
 constraint residuals below never read them from the evolution right side,
 so they stay usable as independent health checks of a run.
 
-Time derivatives are taken from stored slices: series are sampled either
-uniformly in t or uniformly in log t, and the stencils are applied in the
-matching variable.
+Time derivatives are taken from stored slices through one dispatch, _d_dt:
+series are sampled either uniformly in t or uniformly in log t, and the time
+stencil is applied in the matching variable.
 """
 
 import numpy as np
@@ -153,6 +153,20 @@ def _uniform_spacing(x, what):
     return None
 
 
+def _d_dt(series, t, order):
+    """d/dt along the leading axis of a series sampled at the nodes t, by the
+    time stencil in t when t is uniform and in log t when log t is."""
+    dt = _uniform_spacing(t, "t_nodes")
+    if dt is not None:
+        if dt == 0:
+            raise ConfigError("time spacing is zero")
+        return fd_time_diff(series, dt, order)
+    hs = _uniform_spacing(np.log(t), "t_nodes (in log t)")
+    if hs is None or hs == 0:
+        raise ConfigError("t_nodes must be uniform in t or in log t")
+    return fd_time_diff(series, hs, order) / t.reshape((-1,) + (1,) * (series.ndim - 1))
+
+
 def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
     """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stored slices.
 
@@ -167,18 +181,7 @@ def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
         raise ConfigError("slice times must be positive")
     if e_series.shape[0] != t.size or omega_series.shape[0] != t.size:
         raise ConfigError("series and t_nodes lengths disagree")
-    dt = _uniform_spacing(t, "t_nodes")
-    if dt is not None:
-        if dt == 0:
-            raise ConfigError("time spacing is zero")
-        de_dt = fd_time_diff(e_series, dt, order)
-    else:
-        hs = _uniform_spacing(np.log(t), "t_nodes (in log t)")
-        if hs is None or hs == 0:
-            raise ConfigError("t_nodes must be uniform in t or in log t")
-        shape = (-1,) + (1,) * (e_series.ndim - 1)
-        de_dt = fd_time_diff(e_series, hs, order) / t.reshape(shape)
-    return np.einsum("maj...,mia...->mij...", omega_series, de_dt)
+    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, order))
 
 
 class FrameState:
@@ -303,8 +306,9 @@ def spacetime_ricci(states, order=4):
       r4_00[r] = (R - |kt|^2 + (tr kt)^2)[r] - sum_I r4_ij[r, I, I]
       r4_0i[r] = frame divergence constraint of kt[r]
 
-    with kt the time-FD second fundamental form.  Needs at least 3 slices
-    (5 for 4th-order interior stencils; the order drops to 2 below that).
+    with kt the time-FD second fundamental form.  Needs at least 3 slices;
+    the time stencils drop to 2nd order below 5, the spatial ones keep
+    `order`.
     """
     if len(states) < 3:
         raise ConfigError(f"need at least 3 consecutive slices, got {len(states)}")
@@ -312,16 +316,9 @@ def spacetime_ricci(states, order=4):
     t = np.array([st.t for st in states])
     e_series = np.stack([st.e for st in states])
     omega_series = np.stack([st.omega for st in states])
-    if len(states) < 5:
-        order = 2
-    kt = second_fundamental_from_frame(e_series, omega_series, t, order)
-
-    dt = _uniform_spacing(t, "t_nodes")
-    if dt is not None:
-        dkt_dt = fd_time_diff(kt, dt, order)
-    else:
-        hs = _uniform_spacing(np.log(t), "t_nodes (in log t)")
-        dkt_dt = fd_time_diff(kt, hs, order) / t.reshape((-1,) + (1,) * (kt.ndim - 1))
+    time_order = order if len(states) >= 5 else 2
+    kt = second_fundamental_from_frame(e_series, omega_series, t, time_order)
+    dkt_dt = _d_dt(kt, t, time_order)
 
     m = t.size
     r4_ij = np.empty_like(kt)

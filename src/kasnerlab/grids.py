@@ -1,13 +1,16 @@
 """Numerical substrate: periodic spatial grids, log-uniform time grids, tensor
-fields with enforced index symmetries, finite-difference derivatives, product
-quadrature against power-law singular integrands, and Sobolev/sup norms.
+fields with enforced index symmetries, finite-difference derivatives, and
+product quadrature against power-law singular integrands.
 
 Conventions used throughout the package:
   - spatial fields store their three grid axes LAST, so a frame field has
     shape (3, 3, n, n, n) and a scalar (n, n, n);
   - time-sampled series store the time-node axis FIRST;
-  - all finite differences are centered in the interior; periodic mode wraps,
-    localized mode switches to one-sided stencils of the same order at faces.
+  - one stencil kernel serves space and time: centered in the interior;
+    periodic mode wraps, localized mode switches to one-sided stencils of
+    the same order at faces.  fd_diff applies it along a trailing spatial
+    axis in the grid's mode, fd_time_diff along the leading time axis in
+    localized mode.
 
 Non-periodic data sampled on a periodic grid (e.g. f = x1) is NOT rejected:
 the wrap-around stencil sees the sawtooth jump and produces large derivatives
@@ -52,10 +55,6 @@ class SpatialGrid:
         self.h = self.delta / n_pts
         self.shape = (n_pts, n_pts, n_pts)
 
-    @property
-    def cell_volume(self):
-        return self.h**3
-
     def axis_coords(self):
         """1-d coordinate array shared by the three axes."""
         return self.h * np.arange(self.n_pts)
@@ -98,14 +97,6 @@ class LogTimeGrid:
         self.times[0] = self.t_min
         self.times[-1] = self.t_max
         self.h_s = (self.s[-1] - self.s[0]) / (n_steps - 1)
-
-    def index_of(self, t):
-        """Node index of t; error if t is not a node (within rounding)."""
-        s = math.log(t)
-        j = int(round((s - self.s[0]) / self.h_s))
-        if j < 0 or j >= self.n_steps or abs(self.s[j] - s) > 1e-9 * (1 + abs(s)):
-            raise GridError(f"t={t} is not a node of {self!r}")
-        return j
 
     def __eq__(self, other):
         return (
@@ -227,35 +218,34 @@ def _flat_stencil(values, axis, order, h):
     return df
 
 
-def _fd_periodic(values, axis, order, h):
+def _stencil(values, axis, order, h, mode):
+    """First derivative along the absolute `axis`: the centered stencil in
+    the interior, and at the order//2 nodes next to each face either the
+    same stencil on the wrapped slab (periodic) or one-sided rows of the
+    same order (localized)."""
+    if order not in (2, 4):
+        raise GridError(f"stencil order must be 2 or 4, got {order}")
+    if mode not in (PERIODIC, LOCALIZED):
+        raise GridError(f"unknown grid mode {mode!r}")
+    if values.shape[axis] < order + 1:
+        raise GridError(f"need at least {order + 1} nodes along the axis for order {order}")
     values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
     w = order // 2
     n = values.shape[axis]
     df = _flat_stencil(values, axis, order, h)
-    # redo the face nodes on the wrapped slab of nodes n-2w..n-1, 0..2w-1
-    seam = _flat_stencil(np.take(values, np.arange(-2 * w, 2 * w), axis=axis), axis, order, h)
-    faces, seam = np.moveaxis(df, axis, 0), np.moveaxis(seam, axis, 0)
-    faces[n - w :] = seam[w : 2 * w]
-    faces[:w] = seam[2 * w : 3 * w]
-    return df
-
-
-def _fd_onesided_patch(df, values, axis, order, h):
-    """Overwrite the face slabs of a centered derivative with one-sided rows."""
-    rows = _ONESIDED[order]
-    width = rows.shape[1]
-    n = values.shape[axis]
-    for i, row in enumerate(rows):
-        # leading face, node i
-        lead = sum(row[m] * np.take(values, m, axis=axis) for m in range(width)) / h
-        # trailing face, node n-1-i (mirrored, sign flipped)
-        trail = -sum(row[m] * np.take(values, n - 1 - m, axis=axis) for m in range(width)) / h
-        idx_lead = [slice(None)] * values.ndim
-        idx_lead[axis] = i
-        idx_trail = [slice(None)] * values.ndim
-        idx_trail[axis] = n - 1 - i
-        df[tuple(idx_lead)] = lead
-        df[tuple(idx_trail)] = trail
+    faces = np.moveaxis(df, axis, 0)
+    if mode == PERIODIC:
+        # the wrapped slab of nodes n-2w..n-1, 0..2w-1
+        seam = _flat_stencil(np.take(values, np.arange(-2 * w, 2 * w), axis=axis), axis, order, h)
+        seam = np.moveaxis(seam, axis, 0)
+        faces[n - w :] = seam[w : 2 * w]
+        faces[:w] = seam[2 * w : 3 * w]
+        return df
+    nodes = np.moveaxis(values, axis, 0)
+    for i, row in enumerate(_ONESIDED[order]):
+        # leading face node i; trailing face node n-1-i mirrored, sign flipped
+        faces[i] = sum(c * nodes[m] for m, c in enumerate(row)) / h
+        faces[n - 1 - i] = -sum(c * nodes[n - 1 - m] for m, c in enumerate(row)) / h
     return df
 
 
@@ -265,26 +255,7 @@ def fd_diff(values, axis, order, h, mode=PERIODIC):
     axis counts from the END: axis=1..3 addresses the three trailing grid
     axes, so the same call works for scalars, tensors, and time series.
     """
-    if order not in (2, 4):
-        raise GridError(f"stencil order must be 2 or 4, got {order}")
-    ax = values.ndim - 3 + (axis - 1)
-    if values.shape[ax] < order + 1:
-        raise GridError("grid too small for requested stencil order")
-    df = _fd_periodic(values, ax, order, h)
-    if mode == LOCALIZED:
-        _fd_onesided_patch(df, values, ax, order, h)
-    return df
-
-
-def fd_derivative(f, axis, order=4):
-    """Spec-facing wrapper: derivative of a Scalar/TensorField along x^axis."""
-    if axis not in (1, 2, 3):
-        raise GridError(f"axis must be 1..3, got {axis}")
-    grid = f.grid
-    df = fd_diff(f.values, axis, order, grid.h, grid.mode)
-    if isinstance(f, ScalarField):
-        return ScalarField(grid, df)
-    return TensorField(grid, df, symmetry=SYM_NONE)
+    return _stencil(values, values.ndim - 3 + (axis - 1), order, h, mode)
 
 
 def fd_time_diff(series, h_s, order=4):
@@ -292,22 +263,7 @@ def fd_time_diff(series, h_s, order=4):
 
     Series are sampled uniformly in s = log t, so d/dt = (1/t) d/ds.
     """
-    if order not in (2, 4):
-        raise GridError(f"stencil order must be 2 or 4, got {order}")
-    n = series.shape[0]
-    if n < (5 if order == 4 else 3):
-        raise GridError(f"need at least {5 if order == 4 else 3} time nodes for order {order}")
-    ds = np.empty_like(series)
-    if order == 4:
-        ds[2:-2] = (series[:-4] - 8.0 * series[1:-3] + 8.0 * series[3:-1] - series[4:]) / 12.0
-    else:
-        ds[1:-1] = (series[2:] - series[:-2]) / 2.0
-    rows = _ONESIDED[order]
-    width = rows.shape[1]
-    for i, row in enumerate(rows):
-        ds[i] = sum(row[m] * series[m] for m in range(width))
-        ds[n - 1 - i] = -sum(row[m] * series[n - 1 - m] for m in range(width))
-    return ds / h_s
+    return _stencil(np.asarray(series), 0, order, h_s, LOCALIZED)
 
 
 # ---------------------------------------------------------------------------
@@ -375,112 +331,3 @@ def log_time_cumint(samples, tgrid, with_tail=True):
         run += half * (m[j] + m[j - 1])
         out[j] = run + out[0]
     return out
-
-
-def log_time_integral(samples, tgrid, t_target=None):
-    """int_0^{t_target} g dtau; t_target must be a node (default t_max)."""
-    j = tgrid.n_steps - 1 if t_target is None else tgrid.index_of(t_target)
-    return log_time_cumint(samples, tgrid)[j]
-
-
-def interp_log_time(series, tgrid, t):
-    """Cubic (4-point Lagrange in s = log t) interpolation of a node series."""
-    s = math.log(t)
-    if not (tgrid.s[0] - 1e-12 <= s <= tgrid.s[-1] + 1e-12):
-        raise GridError(f"t={t} outside time grid [{tgrid.t_min}, {tgrid.t_max}]")
-    n = tgrid.n_steps
-    if n < 4:
-        raise GridError("cubic interpolation needs at least 4 nodes")
-    j = int(np.floor((s - tgrid.s[0]) / tgrid.h_s)) - 1
-    j = min(max(j, 0), n - 4)
-    sn = tgrid.s[j : j + 4]
-    w = np.ones(4)
-    for i in range(4):
-        for k in range(4):
-            if k != i:
-                w[i] *= (s - sn[k]) / (sn[i] - sn[k])
-    return np.tensordot(w, series[j : j + 4], axes=(0, 0))
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def _derivative_pyramid(values, grid, s, order):
-    """All FD derivatives d^alpha (|alpha| <= s) of a raw component array.
-
-    Built level by level so each multi-index costs one derivative call.
-    Returns a dict alpha-tuple -> array.
-    """
-    pyramid = {(0, 0, 0): values}
-    frontier = [(0, 0, 0)]
-    for _ in range(s):
-        nxt = []
-        for alpha in frontier:
-            for axis in range(3):
-                beta = list(alpha)
-                beta[axis] += 1
-                beta = tuple(beta)
-                if beta in pyramid:
-                    continue
-                # extend along the lowest incremented axis for determinism
-                pyramid[beta] = fd_diff(pyramid[alpha], axis + 1, order, grid.h, grid.mode)
-                nxt.append(beta)
-        frontier = nxt
-    return pyramid
-
-
-def _component_iter(fields):
-    if not isinstance(fields, (list, tuple)):
-        fields = [fields]
-    for f in fields:
-        v = f.values
-        rank = getattr(f, "rank", v.ndim - 3)
-        grid = f.grid
-        if rank == 0:
-            yield grid, v
-        else:
-            flat = v.reshape((-1,) + grid.shape)
-            for comp in flat:
-                yield grid, comp
-
-
-def hs_norm(fields, s, volume_weight=None, order=4):
-    """Volume-weighted Sobolev norm ( sum_{|alpha|<=s} int (d^alpha f)^2 vol )^{1/2}.
-
-    fields: a Scalar/TensorField or list of them (component squares add).
-    volume_weight: strictly positive scalar weight (defaults to 1).
-    """
-    if not 0 <= s <= 4:
-        raise GridError(f"s must be in 0..4, got {s}")
-    if volume_weight is not None:
-        w = volume_weight.values if isinstance(volume_weight, ScalarField) else np.asarray(volume_weight)
-        if np.any(w <= 0):
-            raise GridError("volume weight must be strictly positive")
-    else:
-        w = 1.0
-    total = 0.0
-    grid_seen = None
-    for grid, comp in _component_iter(fields):
-        grid_seen = grid
-        pyramid = _derivative_pyramid(comp, grid, s, order)
-        for alpha, arr in pyramid.items():
-            if sum(alpha) <= s:
-                total += float(np.sum(arr * arr * w))
-    if grid_seen is None:
-        return 0.0
-    return math.sqrt(total * grid_seen.cell_volume)
-
-
-def ws_norm(fields, s, order=4):
-    """Sup-norm counterpart: max_{|alpha|<=s} sup |d^alpha f|."""
-    if not 0 <= s <= 4:
-        raise GridError(f"s must be in 0..4, got {s}")
-    best = 0.0
-    for grid, comp in _component_iter(fields):
-        pyramid = _derivative_pyramid(comp, grid, s, order)
-        for alpha, arr in pyramid.items():
-            if sum(alpha) <= s:
-                best = max(best, float(np.max(np.abs(arr))))
-    return best

@@ -25,8 +25,8 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
-from .geometry import FrameState, coframe_from_frame, gamma_from_frame, spatial_ricci
-from .grids import LogTimeGrid, log_time_cumint
+from .geometry import coframe_from_frame, gamma_from_frame, spatial_ricci
+from .grids import log_time_cumint
 
 MAX_TOWER_LEVEL = 4
 # fitted-slope slack for the warning-grade envelope report; the paper's
@@ -62,16 +62,6 @@ class IterateSet:
     def ricci_at(self, index, order=4):
         return spatial_ricci(
             self.e[index], self.omega[index], self.gamma_at(index, order), self.grid, order
-        )
-
-    def state_at(self, index, order=4):
-        return FrameState(
-            self.grid,
-            self.e[index],
-            self.omega[index],
-            self.k[index],
-            self.gamma_at(index, order),
-            self.times.times[index],
         )
 
 

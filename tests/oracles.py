@@ -11,7 +11,7 @@ module.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.grids import LOCALIZED, _fd_onesided_patch, _tail_below_first_node, fd_diff
+from kasnerlab.grids import LOCALIZED, _tail_below_first_node, fd_diff
 
 
 def christoffel_from_metric(g, h, order=4, mode="periodic"):
@@ -231,9 +231,33 @@ def kasner_symbolic_ricci():
     return ric, p, t
 
 
+# one-sided first-derivative rows of the seed stencils (order 4 -> 5-point,
+# order 2 -> 3-point), row i = stencil for node i counted from the boundary
+ONESIDED_ROWS = {
+    4: np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0,
+    2: np.array([[-3.0, 4.0, -1.0]]) / 2.0,
+}
+
+
+def _onesided_faces(df, values, axis, order, h):
+    """Overwrite the face slabs of a centered derivative with one-sided rows."""
+    n = values.shape[axis]
+    for i, row in enumerate(ONESIDED_ROWS[order]):
+        width = row.size
+        lead = sum(row[m] * np.take(values, m, axis=axis) for m in range(width)) / h
+        trail = -sum(row[m] * np.take(values, n - 1 - m, axis=axis) for m in range(width)) / h
+        idx_lead = [slice(None)] * values.ndim
+        idx_lead[axis] = i
+        idx_trail = [slice(None)] * values.ndim
+        idx_trail[axis] = n - 1 - i
+        df[tuple(idx_lead)] = lead
+        df[tuple(idx_trail)] = trail
+    return df
+
+
 def roll_stencil_reference(values, axis, order, h, mode="periodic"):
     """Centered first derivative along axis (1..3 from the end) by np.roll,
-    with the library's one-sided face rows in localized mode."""
+    with one-sided face rows in localized mode."""
     ax = values.ndim - 3 + (axis - 1)
     if order == 4:
         df = (
@@ -243,8 +267,56 @@ def roll_stencil_reference(values, axis, order, h, mode="periodic"):
     else:
         df = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2.0 * h)
     if mode == LOCALIZED:
-        _fd_onesided_patch(df, values, ax, order, h)
+        _onesided_faces(df, values, ax, order, h)
     return df
+
+
+def fd_time_diff_reference(series, h_s, order=4):
+    """d/ds along the leading axis by the seed formula: the interior stencil
+    summed left to right, one-sided rows at both ends, then divided by h_s."""
+    n = series.shape[0]
+    ds = np.empty_like(series)
+    if order == 4:
+        ds[2:-2] = (series[:-4] - 8.0 * series[1:-3] + 8.0 * series[3:-1] - series[4:]) / 12.0
+    else:
+        ds[1:-1] = (series[2:] - series[:-2]) / 2.0
+    for i, row in enumerate(ONESIDED_ROWS[order]):
+        ds[i] = sum(row[m] * series[m] for m in range(row.size))
+        ds[n - 1 - i] = -sum(row[m] * series[n - 1 - m] for m in range(row.size))
+    return ds / h_s
+
+
+def seam_reference(p, c11, c22, c33, kappa12, order=4):
+    """(c11, kappa23, kappa13) seam jumps by re-evaluating each transport's
+    right side from its formula and summing it over one x^3 period."""
+    grid = p.grid
+
+    def d(values, axis):
+        return fd_diff(values, axis, order, grid.h, grid.mode)
+
+    def loop(integrand):
+        return grid.h * np.sum(integrand, axis=-1)
+
+    log_v = np.log(c11) + np.log(c22) + np.log(c33)
+    mu = np.exp(0.5 * log_v)
+    rhs11 = ((p.p3 - p.p2) * d(np.log(c22), 3) + 2.0 * d(p.p3, 3)) / (p.p3 - p.p1)
+    rhs23 = (
+        0.5 * (p.p2 - p.p1) * d(np.log(c11), 2)
+        + 0.5 * (p.p2 - p.p3) * d(np.log(c33), 2)
+        + d(p.p2, 2)
+    )
+    rhs13 = 0.5 * (
+        (p.p1 - p.p2) * d(np.log(c22), 1)
+        + (p.p1 - p.p3) * d(np.log(c33), 1)
+        + 2.0 * d(p.p1, 1)
+        - 2.0 * d(kappa12, 2)
+        - kappa12 * d(log_v, 2)
+    )
+    return (
+        np.max(np.abs(loop(rhs11))),
+        np.max(np.abs(loop(mu * rhs23) / mu[:, :, 0])),
+        np.max(np.abs(loop(mu * rhs13) / mu[:, :, 0])),
+    )
 
 
 def spatial_ricci_reference(e, gamma, grid, order=4):

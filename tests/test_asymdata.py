@@ -39,7 +39,7 @@ from kasnerlab.families import (
 )
 from kasnerlab.grids import ScalarField, SpatialGrid
 
-from oracles import ode_reference, quad_cumulative, sympy_residual_gaps
+from oracles import ode_reference, quad_cumulative, seam_reference, sympy_residual_gaps
 
 DELTA = 2.0 * np.pi
 
@@ -191,6 +191,32 @@ class TestSolveC11:
         bad[0, 0, 0] = -1.0
         with pytest.raises(ConfigError):
             solve_c11(p, bad)
+
+
+@pytest.mark.parametrize(
+    "solve,field",
+    [
+        ("c11", "c22"),
+        ("kappa23", "c11"),
+        ("kappa23", "c22"),
+        ("kappa23", "c33"),
+        ("kappa13", "c11"),
+        ("kappa13", "c22"),
+        ("kappa13", "c33"),
+    ],
+)
+def test_solves_name_the_nonpositive_field(solve, field):
+    grid = small_grid()
+    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+    diag = {name: np.ones(grid.shape) for name in ("c11", "c22", "c33")}
+    diag[field][3, 1, 4] = 0.0
+    with pytest.raises(ConfigError, match=f"^{field} must be positive"):
+        if solve == "c11":
+            solve_c11(p, diag["c22"])
+        elif solve == "kappa23":
+            solve_kappa23(p, diag["c11"], diag["c22"], diag["c33"])
+        else:
+            solve_kappa13(p, diag["c11"], diag["c22"], diag["c33"], kappa12=0.0)
 
 
 class TestKappaTransports:
@@ -408,6 +434,22 @@ class TestAssembleDataset:
         assert np.all(ds.kappa23 == 0.0)
         assert np.all(ds.c[0, 1] == 0.0)
         assert np.max(np.abs(ds.kappa13)) < 1e-6
+
+    def test_seam_matches_reevaluated_right_sides_bitwise(self):
+        # every input varies along every axis, so all three loop integrals
+        # are far from zero and a crossed integrand would show
+        grid = small_grid(16)
+        x1, x2, x3 = grid.mesh(1), grid.mesh(2), grid.mesh(3)
+        u = 2.0 + 0.2 * np.sin(x1 + x3) * np.cos(x2)
+        p = exponents_from_u(ScalarField(grid, u))
+        c22 = np.exp(0.3 * np.sin(x2 - x3) * np.cos(x1))
+        c33 = np.exp(0.2 * np.cos(x1 + x2 + x3))
+        kappa12 = 0.1 * np.sin(x1 + 2.0 * x2) * np.cos(x3) + np.zeros(grid.shape)
+        ds = assemble_dataset(p, c22, c33, kappa12)
+        want = seam_reference(p, ds.c[0, 0], c22, c33, kappa12)
+        got = (ds.seam.c11_jump, ds.seam.kappa23_jump, ds.seam.kappa13_jump)
+        assert got == want
+        assert min(got) > 1e-3
 
     def test_u_wave_residuals_small(self):
         # truncation floor of the generator; measured 9.7e-5 at n=24

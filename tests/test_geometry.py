@@ -26,7 +26,8 @@ from kasnerlab.geometry import (
     spatial_ricci,
     torsion_residual,
 )
-from kasnerlab.grids import ScalarField, SpatialGrid
+from kasnerlab.grids import LogTimeGrid, ScalarField, SpatialGrid, fd_time_diff
+from kasnerlab.iteration import zeroth_iterate
 
 from oracles import (
     covariant_gamma_oracle,
@@ -450,6 +451,26 @@ class TestSpacetimeRicci:
         states = [kasner_state(grid, t) for t in (0.5, 0.6)]
         with pytest.raises(ConfigError):
             spacetime_ricci(states)
+
+    def test_few_slices_lower_only_the_time_order(self):
+        # below 5 slices the time stencils drop to 2nd order; the spatial Ricci
+        # inside r4_ij must stay at the requested 4th order (at 2nd order it
+        # differs by 2.9 against a scale of 115 here)
+        grid = SpatialGrid(DELTA, 16)
+        times = LogTimeGrid(1e-2, 1e-1, 4)
+        level = zeroth_iterate(u_wave_dataset(grid), times)
+        states = [
+            FrameState.from_frame(grid, level.e[r], level.k[r], times.times[r]) for r in range(4)
+        ]
+        r4 = spacetime_ricci(states)
+        kt, t = r4.k_tilde, times.times
+        dkt_dt = fd_time_diff(kt, times.h_s, order=2) / t[:, None, None, None, None, None]
+        trkt_kt = np.einsum("rii...->r...", kt)[:, None, None] * kt
+        used = r4.r4_ij + dkt_dt - trkt_kt
+        for r, st in enumerate(states):
+            want = spatial_ricci(st.e, st.omega, st.gamma, grid, order=4)
+            scale = max(np.max(np.abs(a)) for a in (dkt_dt[r], trkt_kt[r], want))
+            assert np.max(np.abs(used[r] - want)) <= 1e-14 * scale
 
     def test_component_shapes(self):
         grid = SpatialGrid(DELTA, 8)
