@@ -271,22 +271,20 @@ def fd_time_diff(series, h_s, order=4):
 # ---------------------------------------------------------------------------
 
 
-def _tail_below_first_node(m, h_s):
+def _tail_below_first_node(m0, m1, comp_scale, h_s):
     """Power-law closure of int_0^{t_min} g dtau from the first two samples.
 
-    m holds tau*g at the nodes. Fitting m ~ A exp(q s) from nodes 0 and 1
-    gives tail = m_0/q, valid when q > 0 (g integrable). The validity tests
-    are per component (scale = max of |m| along the time axis): a head at
-    its own rounding floor, a sign flip between the first two nodes, or a
-    non-growing head all mean no resolvable integrable power law, and the
-    component contributes zero tail. Non-integrable growth is flagged only
-    when the head is itself the series maximum and fails to grow along s;
-    a decreasing head buried far below the series scale is cancellation
-    noise, not divergence.
+    m0 and m1 hold tau*g at nodes 0 and 1, comp_scale the max of |tau*g|
+    over all nodes. Fitting m ~ A exp(q s) from nodes 0 and 1 gives
+    tail = m_0/q, valid when q > 0 (g integrable). The validity tests are
+    per component, against comp_scale: a head at its own rounding floor, a
+    sign flip between the first two nodes, or a non-growing head all mean
+    no resolvable integrable power law, and the component contributes zero
+    tail. Non-integrable growth is flagged only when the head is itself the
+    series maximum and fails to grow along s; a decreasing head buried far
+    below the series scale is cancellation noise, not divergence.
     """
-    m0, m1 = m[0], m[1]
     a0, a1 = np.abs(m0), np.abs(m1)
-    comp_scale = np.max(np.abs(m), axis=0)
     negligible = (a0 <= 1e-8 * comp_scale) | (a1 <= 1e-8 * comp_scale)
     signflip = (m0 * m1) < 0
     ok = ~(negligible | signflip)
@@ -311,23 +309,32 @@ def log_time_cumint(samples, tgrid, with_tail=True):
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
     tail below t_min. Works on any trailing shape; time axis leads.
+
+    Memory: the output plus a few one-node slabs.  m is formed one node at
+    a time; the samples are only read.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
         raise GridError("sample count does not match time grid")
-    m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
-    if not np.all(np.isfinite(m)):
-        raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
-    out = np.empty_like(m)
-    if with_tail:
-        out[0] = _tail_below_first_node(m, tgrid.h_s)
-    else:
-        out[0] = 0.0
+
+    def node(j):
+        m_j = samples[j] * tgrid.times[j]
+        if not np.all(np.isfinite(m_j)):
+            raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
+        return m_j
+
+    out = np.empty(samples.shape)
     half = 0.5 * tgrid.h_s
-    run = half * (m[1] + m[0])
-    out[1] = run + out[0]
+    m0, m1 = node(0), node(1)
+    scale = np.maximum(np.abs(m0), np.abs(m1))
+    out[1] = half * (m1 + m0)
+    m_prev = m1
     # slab by slab: np.cumsum along a leading axis runs a slow strided inner loop
-    for j in range(2, m.shape[0]):
-        run += half * (m[j] + m[j - 1])
-        out[j] = run + out[0]
+    for j in range(2, samples.shape[0]):
+        m_j = node(j)
+        scale = np.maximum(scale, np.abs(m_j))
+        out[j] = out[j - 1] + half * (m_j + m_prev)
+        m_prev = m_j
+    out[0] = _tail_below_first_node(m0, m1, scale, tgrid.h_s) if with_tail else 0.0
+    out[1:] += out[0]
     return out

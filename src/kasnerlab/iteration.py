@@ -109,6 +109,9 @@ def advance_k(n, previous, zeroth):
 
     Returns (k_series, asym_norms): the symmetrized update and the
     per-node sup norm of the part the symmetrization discarded.
+
+    Memory: two series-sized buffers, the integrand and the quadrature
+    output, which becomes k_series in place, plus one-node slabs.
     """
     if n < 1:
         raise ConfigError(f"advance_k needs n >= 1, got {n}")
@@ -125,14 +128,20 @@ def advance_k(n, previous, zeroth):
         ric = previous.ricci_at(r)
         integrand[r] = np.exp(-big_w[r]) * (t * ric + w[r] * t * k0[r])
     try:
-        acc = log_time_cumint(integrand, times)
+        k_n = log_time_cumint(integrand, times)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"k update at level {n}: {err}") from err
 
-    k_n = k0 + np.exp(big_w)[:, None, None] * acc / _broadcast_times(times, acc.ndim)
-    asym = 0.5 * (k_n - np.swapaxes(k_n, 1, 2))
-    asym_norms = np.abs(asym).reshape(m, -1).max(axis=1)
-    return k_n - asym, asym_norms
+    asym_norms = np.empty(m)
+    for r, t in enumerate(times.times):
+        k_r = k_n[r]
+        k_r *= np.exp(big_w[r])
+        k_r /= t
+        np.add(k0[r], k_r, out=k_r)
+        asym = 0.5 * (k_r - np.swapaxes(k_r, 0, 1))
+        asym_norms[r] = np.abs(asym).max()
+        k_r -= asym
+    return k_n, asym_norms
 
 
 def advance_e(n, k_n, previous, zeroth):
@@ -141,6 +150,9 @@ def advance_e(n, k_n, previous, zeroth):
     The diagonal of k couples at level n (it sits in the integrating
     factor); off-diagonal terms enter the source at level n-1, as the
     scheme's update order requires.  Returns (e_series, omega_series).
+
+    Memory: as in advance_k, with e_series in place of k_series;
+    omega_series is allocated only once the integrand is freed.
     """
     if n < 1:
         raise ConfigError(f"advance_e needs n >= 1, got {n}")
@@ -154,26 +166,25 @@ def advance_e(n, k_n, previous, zeroth):
     big_w = log_time_cumint(w_diag, times)
     _check_contraction(n, big_w)
 
-    k_off = previous.k.copy()
-    for i in range(3):
-        k_off[:, i, i] = 0.0
-    omega_series = np.empty_like(e0)
     integrand = np.empty((m, 3, 3) + grid.shape)
     for r, t in enumerate(times.times):
         t_up = np.exp(pv * np.log(t))  # t^{p_I}
-        source = e0[r] * w_diag[r][:, None] + np.einsum(
-            "ic...,ca...->ia...", k_off[r], previous.e[r]
-        )
+        k_off = previous.k[r].copy()
+        for i in range(3):
+            k_off[i, i] = 0.0
+        source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
         integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
     try:
-        acc = log_time_cumint(integrand, times)
+        e_n = log_time_cumint(integrand, times)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"frame update at level {n}: {err}") from err
+    del integrand
 
-    e_n = np.empty_like(e0)
+    omega_series = np.empty_like(e0)
     for r, t in enumerate(times.times):
         t_down = np.exp(-pv * np.log(t))
-        e_n[r] = e0[r] + t_down[:, None] * np.exp(big_w[r])[:, None] * acc[r]
+        e_n[r] *= t_down[:, None] * np.exp(big_w[r])[:, None]
+        np.add(e0[r], e_n[r], out=e_n[r])
         try:
             omega_series[r] = coframe_from_frame(e_n[r])
         except SingularFrameError as err:
@@ -237,7 +248,7 @@ def build_tower(data, times, n_max, fit_decades=2.0):
         k_n, asym_norms = advance_k(n, prev, levels[0])
         e_n, omega_n = advance_e(n, k_n, prev, levels[0])
         level = IterateSet(n, data, times, e_n, omega_n, k_n, asym_norms)
-        diff = np.abs(k_n - prev.k).reshape(times.n_steps, -1).max(axis=1)
+        diff = np.array([np.abs(k_r - prev_r).max() for k_r, prev_r in zip(k_n, prev.k)])
         predicted = -1.0 + n * eps
         if np.all(diff[mask] > 0):
             slope, _, r2 = fit_decay_rate(times.times[mask], diff[mask])

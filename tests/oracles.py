@@ -11,7 +11,16 @@ module.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.grids import LOCALIZED, _tail_below_first_node, fd_diff
+from kasnerlab.errors import NonIntegrableError, SingularFrameError
+from kasnerlab.geometry import coframe_from_frame
+from kasnerlab.grids import LOCALIZED, fd_diff
+from kasnerlab.iteration import (
+    IterateSet,
+    _check_contraction,
+    _fit_window,
+    fit_decay_rate,
+    zeroth_iterate,
+)
 
 
 def christoffel_from_metric(g, h, order=4, mode="periodic"):
@@ -335,14 +344,106 @@ def spatial_ricci_reference(e, gamma, grid, order=4):
     return r
 
 
+def tail_reference(m, h_s):
+    """Power-law tail below t_min from the full m = tau*g series, judged
+    against each component's max of |m| over all nodes (the seed closure)."""
+    m0, m1 = m[0], m[1]
+    a0, a1 = np.abs(m0), np.abs(m1)
+    comp_scale = np.max(np.abs(m), axis=0)
+    negligible = (a0 <= 1e-8 * comp_scale) | (a1 <= 1e-8 * comp_scale)
+    signflip = (m0 * m1) < 0
+    ok = ~(negligible | signflip)
+    q = np.zeros_like(a0)
+    np.divide(np.log(np.where(a1 > 0, a1, 1.0)) - np.log(np.where(a0 > 0, a0, 1.0)), h_s, out=q, where=ok)
+    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale)
+    if np.any(bad):
+        comp = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonIntegrableError(
+            f"non-integrable growth toward t=0 in component {comp}: "
+            f"integrand head dominates the series and does not decay "
+            f"(|m0|={a0[comp]:.3e}, |m1|={a1[comp]:.3e})"
+        )
+    ok &= q > 1e-12
+    tail = np.zeros_like(m0)
+    np.divide(m0, np.where(ok, q, 1.0), out=tail, where=ok)
+    return tail
+
+
 def cumsum_cumint_reference(samples, tgrid, with_tail=True):
     """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
-    the library's power-law tail below t_min."""
+    the power-law tail below t_min, on the full m = tau*g series."""
     m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
+    if not np.all(np.isfinite(m)):
+        raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
     out = np.empty_like(m)
-    out[0] = _tail_below_first_node(m, tgrid.h_s) if with_tail else 0.0
+    out[0] = tail_reference(m, tgrid.h_s) if with_tail else 0.0
     np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
     out[1:] += out[0]
+    return out
+
+
+def tower_reference(data, times, n_max):
+    """Tower levels 1..n_max by the seed's whole-series formulas.
+
+    Returns one (e, omega, k, asym_norms, fitted_slope) tuple per level;
+    fitted_slope is None where the k-difference has zeros in the fit window.
+    """
+    t_col = times.times.reshape((-1, 1, 1, 1, 1, 1))
+    pv = data.p.as_array()
+    zeroth = previous = zeroth_iterate(data, times)
+    e0, k0 = zeroth.e, zeroth.k
+    mask = _fit_window(times, 2.0)
+    out = []
+    for n in range(1, n_max + 1):
+        # k update
+        w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
+        big_w = cumsum_cumint_reference(w, times)
+        _check_contraction(n, big_w)
+        integrand = np.stack(
+            [
+                np.exp(-big_w[r]) * (t * previous.ricci_at(r) + w[r] * t * k0[r])
+                for r, t in enumerate(times.times)
+            ]
+        )
+        try:
+            acc = cumsum_cumint_reference(integrand, times)
+        except NonIntegrableError as err:
+            raise NonIntegrableError(f"k update at level {n}: {err}") from err
+        k_n = k0 + np.exp(big_w)[:, None, None] * acc / t_col
+        asym = 0.5 * (k_n - np.swapaxes(k_n, 1, 2))
+        asym_norms = np.abs(asym).reshape(times.n_steps, -1).max(axis=1)
+        k_n = k_n - asym
+
+        # frame update
+        w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
+        big_w = cumsum_cumint_reference(w_diag, times)
+        _check_contraction(n, big_w)
+        k_off = previous.k.copy()
+        for i in range(3):
+            k_off[:, i, i] = 0.0
+        integrand = np.empty_like(e0)
+        for r, t in enumerate(times.times):
+            t_up = np.exp(pv * np.log(t))
+            source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off[r], previous.e[r])
+            integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
+        try:
+            acc = cumsum_cumint_reference(integrand, times)
+        except NonIntegrableError as err:
+            raise NonIntegrableError(f"frame update at level {n}: {err}") from err
+        e_n = np.empty_like(e0)
+        omega = np.empty_like(e0)
+        for r, t in enumerate(times.times):
+            t_down = np.exp(-pv * np.log(t))
+            e_n[r] = e0[r] + t_down[:, None] * np.exp(big_w[r])[:, None] * acc[r]
+            try:
+                omega[r] = coframe_from_frame(e_n[r])
+            except SingularFrameError as err:
+                raise SingularFrameError(f"tower level {n} at t={t:.6e}: {err}") from err
+
+        diff = np.abs(k_n - previous.k).reshape(times.n_steps, -1).max(axis=1)
+        slope = fit_decay_rate(times.times[mask], diff[mask])[0] if np.all(diff[mask] > 0) else None
+        out.append((e_n, omega, k_n, asym_norms, slope))
+        previous = IterateSet(n, data, times, e_n, omega, k_n, asym_norms)
     return out
 
 

@@ -275,6 +275,24 @@ class TestLogTimeIntegral:
             got = log_time_cumint(series, tg, with_tail)
             assert np.array_equal(got, cumsum_cumint_reference(series, tg, with_tail))
 
+    def test_input_only_read(self):
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        series = tg.times.reshape(-1, 1, 1) ** -0.5 * np.arange(1.0, 7.0).reshape(1, 2, 3)
+        kept = series.copy()
+        out = log_time_cumint(series, tg)
+        assert np.array_equal(series, kept)
+        series.setflags(write=False)
+        assert np.array_equal(log_time_cumint(series, tg), out)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("node", [0, 20, 40])
+    def test_non_finite_sample_rejected_at_any_node(self, node, bad):
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        series = np.ones((41, 2, 3))
+        series[node, 1, 2] = bad
+        with pytest.raises(NonIntegrableError, match="non-finite samples"):
+            log_time_cumint(series, tg)
+
     def test_vector_components_independent(self):
         tg = LogTimeGrid(1e-6, 1.0, 128)
         g = np.stack([np.ones(128), tg.times], axis=1)

@@ -1,17 +1,19 @@
 """Tests for the approximate-solution tower: the closed-form level 0, the
-homogeneous fixed point, and the decay-rate fit."""
+homogeneous fixed point, bit identity with the whole-series formulas, the
+tower's working memory, and the decay-rate fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kasnerlab.errors import ConfigError
-from kasnerlab.families import homogeneous_dataset, u_wave_dataset
+from kasnerlab.errors import ConfigError, NonIntegrableError
+from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
 from kasnerlab.grids import LogTimeGrid, SpatialGrid
 from kasnerlab.iteration import build_tower, fit_decay_rate, zeroth_iterate
 
-from oracles import zeroth_series_reference
+from oracles import tower_reference, zeroth_series_reference
 
 DELTA = 2.0 * math.pi
 
@@ -41,6 +43,47 @@ class TestHomogeneousTower:
             # (measured 3e-16 relative)
             assert np.all(np.abs(lv.omega - base.omega) <= 1e-15 * np.abs(base.omega))
             assert lv.envelope_report[0]["fitted"] is None
+
+
+class TestTowerMatchesWholeSeriesFormulas:
+    @pytest.mark.parametrize("family", [u_wave_dataset, layered_dataset])
+    def test_levels_bitwise(self, family):
+        data = family(SpatialGrid(DELTA, 8))
+        levels = build_tower(data, time_grid(), 2)
+        reference = tower_reference(data, time_grid(), 2)
+        assert len(levels) == len(reference) + 1
+        for level, (e, omega, k, asym_norms, slope) in zip(levels[1:], reference):
+            assert level.e.tobytes() == e.tobytes()
+            assert level.omega.tobytes() == omega.tobytes()
+            assert level.k.tobytes() == k.tobytes()
+            assert level.asym_norms.tobytes() == asym_norms.tobytes()
+            assert level.envelope_report[0]["fitted"] == slope
+
+    def test_abort_inside_the_quadrature_keeps_its_text(self):
+        # off-constraint random data abort in the level-1 k update; this pins
+        # the error path, not whether the abort is right
+        data = random_dataset(SpatialGrid(DELTA, 12), seed=3)
+        with pytest.raises(NonIntegrableError) as want:
+            tower_reference(data, time_grid(), 2)
+        with pytest.raises(NonIntegrableError) as got:
+            build_tower(data, time_grid(), 2)
+        assert str(got.value) == str(want.value)
+
+
+class TestTowerMemory:
+    def test_working_memory_beyond_the_returned_series(self):
+        # the level updates hold an integrand and a quadrature output, one of
+        # which becomes the returned series; everything else is one-node slabs
+        # or 1/3-size integrating factors
+        data = u_wave_dataset(SpatialGrid(DELTA, 8))
+        tracemalloc.start()
+        try:
+            levels = build_tower(data, time_grid(), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for lv in levels for a in (lv.e, lv.omega, lv.k))
+        assert peak - returned <= 1.5 * levels[0].e.nbytes
 
 
 class TestFitDecayRate:
