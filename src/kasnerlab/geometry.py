@@ -16,7 +16,7 @@ stencil is applied in the matching variable.
 import numpy as np
 
 from .errors import ConfigError, SingularFrameError
-from .grids import SYM_SYMMETRIC, ScalarField, TensorField, fd_diff, fd_time_diff
+from .grids import ScalarField, TensorField, fd_diff, fd_time_diff
 
 IDENTITY_TOL = 1e-10
 SINGULAR_FLOOR = 1e-14
@@ -83,61 +83,75 @@ def metric_from_coframe(omega):
     return g
 
 
-def _frame_commutators(e, grid, order):
-    """comm[I, J, a] = e_I(e[J, a]) - e_J(e[I, a]), exactly antisymmetric."""
-    de = np.stack([_grid_fd(grid, e, ax, order) for ax in (1, 2, 3)])
-    ede = np.einsum("ib...,bja...->ija...", e, de)
-    return ede - np.swapaxes(ede, 0, 1)
+# the independent pairs (I, J), I < J, of indices antisymmetric in (I, J)
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _structure_functions(e, omega, grid, order):
+    """W[p, X] = omega[a, X] comm_p^a over the pairs p = (I, J) of _PAIRS, with
+    comm_p^a = e_I(e[J, a]) - e_J(e[I, a]): the 9 independent frame commutator
+    coefficients w[I, J, X] (w[J, I, X] = -w[I, J, X], w[I, I, X] = 0)."""
+    de = [_grid_fd(grid, e, ax, order) for ax in (1, 2, 3)]
+    comm = np.empty((3,) + e.shape[1:])
+    for p, (i, j) in enumerate(_PAIRS):
+        e_i_of_e_j = e[i, 0] * de[0][j] + e[i, 1] * de[1][j] + e[i, 2] * de[2][j]
+        e_j_of_e_i = e[j, 0] * de[0][i] + e[j, 1] * de[1][i] + e[j, 2] * de[2][i]
+        np.subtract(e_i_of_e_j, e_j_of_e_i, out=comm[p])
+    return np.einsum("pa...,ax...->px...", comm, omega)
 
 
 def gamma_from_frame(e, omega, grid, order=4):
-    """Levi-Civita connection coefficients of the frame, by antisymmetrized
-    commutators:
+    """Levi-Civita connection coefficients of the frame from its commutator
+    coefficients w: gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]).
 
-      gamma[I, J, B] = 1/2 ( w[I, J, B] - w[J, B, I] + w[B, I, J] )
-
-    with w[I, J, X] = omega[a, X] comm[I, J, a].  The final explicit
-    antisymmetrization makes the (J, B) antisymmetry exact in floating point
-    (x - y and y - x round to exact negatives).
+    Only the 9 independent slots J < B are computed, from the structure
+    functions; where I is J or B the formula reduces to -w[J, B, I].  The
+    mirrored slots are their exact negations and the diagonal J = B is +0.0,
+    so the (J, B) antisymmetry is exact in floating point.
     """
-    comm = _frame_commutators(e, grid, order)
-    w = np.einsum("ija...,ax...->ijx...", comm, omega)
-    raw = w - np.einsum("jbi...->ijb...", w) + np.einsum("bij...->ijb...", w)
-    return 0.25 * (raw - np.swapaxes(raw, 1, 2))
+    w = _structure_functions(e, omega, grid, order)
 
+    def w_at(i, j, x):  # i != j
+        return w[_PAIRS.index((i, j)), x] if i < j else -w[_PAIRS.index((j, i)), x]
 
-# the independent (J < C) slots of gamma[I, J, C]
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+    gamma = np.empty((3,) + w.shape)
+    gamma[:, range(3), range(3)] = 0.0
+    for p, (j, b) in enumerate(_PAIRS):
+        i = 3 - j - b
+        np.negative(w[p, j], out=gamma[j, j, b])
+        np.negative(w[p, b], out=gamma[b, j, b])
+        gamma[i, j, b] = 0.5 * (w_at(i, j, b) - w[p, i] + w_at(b, i, j))
+        np.negative(gamma[:, j, b], out=gamma[:, b, j])
+    return gamma
 
 
 def spatial_ricci(e, omega, gamma, grid, order=4):
     """Slice Ricci in frame components:
 
       R[I, J] = e_C gamma[I, J, C] - e_I (sum_C gamma[C, J, C])
-                - gamma[C, I, D] gamma[D, J, C] - gamma[I, J, D] sum_C gamma[C, C, D]
+                - gamma[C, I, D] gamma[D, J, C] - gamma[I, J, D] v[D],
+      v[D] = sum_C gamma[C, C, D]
 
     Not symmetrized: an evolved connection need not be Levi-Civita, and the
     antisymmetric part is itself a useful monitor.
 
-    Only the J < C components of gamma are differentiated; the mirrored
-    derivatives are their negatives and the diagonal ones zero.  That reads
-    gamma as exactly antisymmetric in its last two slots, which
-    gamma_from_frame produces and FrameState enforces (to rounding).
+    Reads gamma as exactly antisymmetric in its last two slots (as built by
+    gamma_from_frame, enforced by FrameState) and differentiates only its 9
+    slots J < C: each adds e_C(gamma[I, J, C]) to R[I, J] and subtracts
+    e_J(gamma[I, J, C]) from R[I, C]; sum_C gamma[C, J, C] = -v[J] reuses them.
     """
     del omega  # part of the operation signature; the formula needs only e
     upper = np.stack([gamma[:, j, c] for j, c in _PAIRS], axis=1)
-    dgam = np.empty((3,) + gamma.shape)
-    for j in range(3):
-        dgam[:, :, j, j] = 0.0
-    for b, ax in enumerate((1, 2, 3)):
-        d = _grid_fd(grid, upper, ax, order)
+    d = [_grid_fd(grid, upper, ax, order) for ax in (1, 2, 3)]
+    r = np.zeros((3, 3) + e.shape[2:])
+    for b, db in enumerate(d):
         for p, (j, c) in enumerate(_PAIRS):
-            dgam[b, :, j, c] = d[:, p]
-            np.negative(d[:, p], out=dgam[b, :, c, j])
-    r = np.einsum("cb...,bijc...->ij...", e, dgam)
-    trace13 = np.einsum("cjc...->j...", gamma)
-    dtr = np.stack([_grid_fd(grid, trace13, ax, order) for ax in (1, 2, 3)])
-    r -= np.einsum("ib...,bj...->ij...", e, dtr)
+            r[:, j] += e[c, b] * db[:, p]
+            r[:, c] -= e[j, b] * db[:, p]
+    for b, db in enumerate(d):
+        # v = (-gamma[1,0,1] - gamma[2,0,2], gamma[0,0,1] - gamma[2,1,2], gamma[0,0,2] + gamma[1,1,2])
+        for j, dv in enumerate((-(db[1, 0] + db[2, 1]), db[0, 0] - db[2, 2], db[0, 1] + db[1, 2])):
+            r[:, j] += e[:, b] * dv
     r -= np.einsum("cid...,djc...->ij...", gamma, gamma)
     r -= np.einsum("ijd...,d...->ij...", gamma, np.einsum("ccd...->d...", gamma))
     return r
@@ -229,9 +243,6 @@ class FrameState:
         if gasym > 1e-12 * max(np.max(np.abs(self.gamma)), 1.0):
             raise ConfigError(f"gamma not antisymmetric in last two slots ({gasym:.3e})")
 
-    def k_field(self):
-        return TensorField(self.grid, self.k, symmetry=SYM_SYMMETRIC)
-
 
 def hamiltonian_residual(state, order=4):
     """R - |k|^2 + (tr k)^2 on the slice, as a scalar field."""
@@ -245,9 +256,7 @@ def hamiltonian_residual(state, order=4):
 def _momentum_core(e, gamma, k, grid, order):
     dk = np.stack([_grid_fd(grid, k, ax, order) for ax in (1, 2, 3)])
     res = np.einsum("ja...,aij...->i...", e, dk)
-    trk = np.einsum("ii...->...", k)
-    dtr = np.stack([_grid_fd(grid, trk, ax, order) for ax in (1, 2, 3)])
-    res -= np.einsum("ia...,a...->i...", e, dtr)
+    res -= np.einsum("ia...,a...->i...", e, np.einsum("aii...->a...", dk))
     res -= np.einsum("jic...,cj...->i...", gamma, k)
     res -= np.einsum("jjc...,ic...->i...", gamma, k)
     return res
@@ -261,12 +270,17 @@ def momentum_residual_evolved(state, order=4):
 
 
 def torsion_residual(state, order=4):
-    """C[I, J, B]: frame commutator coefficients minus the antisymmetric part
-    of gamma.  Zero to rounding for gamma built by gamma_from_frame; a live
-    monitor when gamma is evolved as an independent unknown."""
-    comm = _frame_commutators(state.e, state.grid, order)
-    c = np.einsum("ija...,ab...->ijb...", comm, state.omega)
-    c -= state.gamma - np.swapaxes(state.gamma, 0, 1)
+    """C[I, J, B] = w[I, J, B] - (gamma[I, J, B] - gamma[J, I, B]): zero to
+    rounding for gamma built by gamma_from_frame; a live monitor when gamma is
+    evolved as an independent unknown.  A check, so it differentiates e itself.
+    The I < J entries come from the 9 structure functions, the I > J ones are
+    their exact negations and the diagonal is +0.0."""
+    w = _structure_functions(state.e, state.omega, state.grid, order)
+    c = np.empty_like(state.gamma)
+    c[range(3), range(3)] = 0.0
+    for p, (i, j) in enumerate(_PAIRS):
+        np.subtract(w[p], state.gamma[i, j] - state.gamma[j, i], out=c[i, j])
+        np.negative(c[i, j], out=c[j, i])
     return TensorField(state.grid, c)
 
 

@@ -56,13 +56,9 @@ class IterateSet:
     def grid(self):
         return self.data.grid
 
-    def gamma_at(self, index, order=4):
-        return gamma_from_frame(self.e[index], self.omega[index], self.grid, order)
-
     def ricci_at(self, index, order=4):
-        return spatial_ricci(
-            self.e[index], self.omega[index], self.gamma_at(index, order), self.grid, order
-        )
+        e, omega = self.e[index], self.omega[index]
+        return spatial_ricci(e, omega, gamma_from_frame(e, omega, self.grid, order), self.grid, order)
 
 
 def zeroth_iterate(data, times):
@@ -250,36 +246,17 @@ def build_tower(data, times, n_max, fit_decades=2.0):
         level = IterateSet(n, data, times, e_n, omega_n, k_n, asym_norms)
         diff = np.array([np.abs(k_r - prev_r).max() for k_r, prev_r in zip(k_n, prev.k)])
         predicted = -1.0 + n * eps
+        # exactly-zero differences (fixed point) leave nothing to fit
+        report = dict(level=n, quantity="k_diff_sup", predicted=predicted, fitted=None, r2=None, ok=True)
         if np.all(diff[mask] > 0):
             slope, _, r2 = fit_decay_rate(times.times[mask], diff[mask])
-            ok = abs(slope - predicted) <= ENVELOPE_SLACK
-            level.envelope_report.append(
-                {
-                    "level": n,
-                    "quantity": "k_diff_sup",
-                    "predicted": predicted,
-                    "fitted": slope,
-                    "r2": r2,
-                    "ok": ok,
-                }
-            )
-            if not ok:
+            report.update(fitted=slope, r2=r2, ok=abs(slope - predicted) <= ENVELOPE_SLACK)
+            if not report["ok"]:
                 warnings.warn(
                     f"tower level {n}: k-difference slope {slope:.3f} outside "
                     f"{predicted:.3f} +- {ENVELOPE_SLACK}",
                     stacklevel=2,
                 )
-        else:
-            # exactly-zero differences (fixed point): nothing to fit
-            level.envelope_report.append(
-                {
-                    "level": n,
-                    "quantity": "k_diff_sup",
-                    "predicted": predicted,
-                    "fitted": None,
-                    "r2": None,
-                    "ok": True,
-                }
-            )
+        level.envelope_report.append(report)
         levels.append(level)
     return levels

@@ -4,8 +4,9 @@ Everything here must stay implementation-independent: coordinate-space
 Christoffel assembly for curvature/connection checks, reference ODE solves
 for the integrating-factor updates, and closed forms for fixed data families.
 The `*_reference` kernels are the plain formulas the optimised library
-kernels must reproduce bit for bit.  The library itself never imports this
-module.
+kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
+stated relative tolerance where the summation order changed (gamma and the
+spatial Ricci).  The library itself never imports this module.
 """
 
 import numpy as np
@@ -326,6 +327,18 @@ def seam_reference(p, c11, c22, c33, kappa12, order=4):
         np.max(np.abs(loop(mu * rhs23) / mu[:, :, 0])),
         np.max(np.abs(loop(mu * rhs13) / mu[:, :, 0])),
     )
+
+
+def gamma_reference(e, omega, grid, order=4):
+    """Connection coefficients from all 27 frame commutator entries:
+    gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]), w[I, J, X] =
+    omega[a, X] comm[I, J, a], antisymmetrized in (J, B) at the end."""
+    de = np.stack([fd_diff(e, ax, order, grid.h, grid.mode) for ax in (1, 2, 3)])
+    ede = np.einsum("ib...,bja...->ija...", e, de)
+    comm = ede - np.swapaxes(ede, 0, 1)
+    w = np.einsum("ija...,ax...->ijx...", comm, omega)
+    raw = w - np.einsum("jbi...->ijb...", w) + np.einsum("bij...->ijb...", w)
+    return 0.25 * (raw - np.swapaxes(raw, 1, 2))
 
 
 def spatial_ricci_reference(e, gamma, grid, order=4):
