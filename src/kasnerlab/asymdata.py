@@ -39,13 +39,10 @@ DEGENERACY_FLOOR = 1e-8
 DATASET_REL_TOL = 1e-10
 
 
-def _values_on(grid, x, name, allow_none=False, default=None):
+def _values_on(grid, x, name):
     """Normalize scalar / ndarray / ScalarField input to a grid-shaped array."""
     if x is None:
-        if allow_none:
-            x = default
-        else:
-            raise ConfigError(f"{name} is required")
+        raise ConfigError(f"{name} is required")
     if isinstance(x, ScalarField):
         if x.grid != grid:
             raise GridError(f"{name} lives on a different grid")
@@ -126,20 +123,16 @@ class KasnerExponents:
         return f"KasnerExponents(grid={self.grid!r}, eps={self.eps:.6g})"
 
 
-def exponents_from_u(u, grid=None):
+def exponents_from_u(u):
     """Exponent triple from the one-parameter pointwise solution of both relations.
 
     p1 = -u/d, p2 = (1+u)/d, p3 = u(1+u)/d with d = 1 + u + u^2 satisfies
     p1 + p2 + p3 = 1 and p1^2 + p2^2 + p3^2 = 1 identically, and u > 1
     guarantees strict ordering p1 < 0 < p2 < p3.
     """
-    if isinstance(u, ScalarField):
-        grid = u.grid
-        uv = np.asarray(u.values, dtype=float)
-    else:
-        if grid is None:
-            raise ConfigError("exponents_from_u needs a ScalarField or an explicit grid")
-        uv = _values_on(grid, u, "u")
+    if not isinstance(u, ScalarField):
+        raise ConfigError(f"exponents_from_u needs a ScalarField, got {type(u).__name__}")
+    uv = u.values
     if np.any(uv <= 1.0):
         bad = np.unravel_index(int(np.argmin(uv)), uv.shape)
         raise DegenerateExponentsError(
@@ -150,7 +143,7 @@ def exponents_from_u(u, grid=None):
     p1 = -uv / d
     p2 = (1.0 + uv) / d
     p3 = uv * (1.0 + uv) / d
-    return KasnerExponents(grid, p1, p2, p3)
+    return KasnerExponents(u.grid, p1, p2, p3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every numerical abort condition gets its own class so the CLI can map
-failures onto exit codes without string matching.
+Every numerical abort condition gets its own class, so callers can tell
+failures apart by type rather than by message text.
 """
 
 
@@ -10,15 +10,12 @@ class KasnerLabError(Exception):
 
 
 class ConfigError(KasnerLabError):
-    """Bad configuration value, malformed config file, or invalid override."""
+    """Input that a public function cannot accept: a bad value, shape, or
+    combination of arguments."""
 
 
 class GridError(KasnerLabError):
     """Invalid grid construction or field/grid mismatch."""
-
-
-class SymmetryError(KasnerLabError):
-    """Tensor values violate their declared symmetry beyond rounding."""
 
 
 class DegenerateExponentsError(KasnerLabError):

@@ -1,4 +1,4 @@
-"""Fixed data families used by tests, the command-line runs, and acceptance checks.
+"""Fixed data families used by the tests and the benchmark.
 
 Three families, all on periodic cubic grids:
 
@@ -137,22 +137,3 @@ def random_dataset(grid, seed, u0=2.0, u_amp=0.25, diag_amp=0.3, offdiag_amp=0.2
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c[i, j] = c[j, i] = _trig_field(grid, rng, offdiag_amp)
     return AsymptoticDataSet(grid, p, c)
-
-
-def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
-    """Copy of data with one off-diagonal c entry perturbed by a single sine mode.
-
-    Breaks the differential constraint while keeping every type-level
-    identity (kappa, f, h are rebuilt from the perturbed c).
-    """
-    i, j = entry
-    if i == j:
-        raise ValueError("perturb an off-diagonal entry; diagonals would break positivity bounds")
-    grid = data.grid
-    x = grid.mesh(axis)
-    c = data.c.copy()
-    bump = amp * np.sin(2.0 * np.pi * x / grid.delta)
-    c[i - 1, j - 1] = c[i - 1, j - 1] + bump
-    c[j - 1, i - 1] = c[i - 1, j - 1]
-    return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
-

@@ -67,22 +67,6 @@ def coframe_from_frame(e):
     return omega
 
 
-def metric_from_coframe(omega):
-    """Slice metric g_ab = omega[a, C] omega[b, C]; bitwise symmetric."""
-    omega = np.asarray(omega, dtype=float)
-    g = np.einsum("ac...,bc...->ab...", omega, omega)
-    m1 = g[0, 0]
-    m2 = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    m3 = (
-        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-        - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-        + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
-    )
-    if np.min(m1) <= 0 or np.min(m2) <= 0 or np.min(m3) <= 0:
-        raise ConfigError("coframe produced a non positive definite metric")
-    return g
-
-
 # the independent pairs (I, J), I < J, of indices antisymmetric in (I, J)
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -125,7 +109,7 @@ def gamma_from_frame(e, omega, grid, order=4):
     return gamma
 
 
-def spatial_ricci(e, omega, gamma, grid, order=4):
+def spatial_ricci(e, gamma, grid, order=4):
     """Slice Ricci in frame components:
 
       R[I, J] = e_C gamma[I, J, C] - e_I (sum_C gamma[C, J, C])
@@ -140,7 +124,6 @@ def spatial_ricci(e, omega, gamma, grid, order=4):
     slots J < C: each adds e_C(gamma[I, J, C]) to R[I, J] and subtracts
     e_J(gamma[I, J, C]) from R[I, C]; sum_C gamma[C, J, C] = -v[J] reuses them.
     """
-    del omega  # part of the operation signature; the formula needs only e
     upper = np.stack([gamma[:, j, c] for j, c in _PAIRS], axis=1)
     d = [_grid_fd(grid, upper, ax, order) for ax in (1, 2, 3)]
     r = np.zeros((3, 3) + e.shape[2:])
@@ -246,7 +229,7 @@ class FrameState:
 
 def hamiltonian_residual(state, order=4):
     """R - |k|^2 + (tr k)^2 on the slice, as a scalar field."""
-    r = spatial_ricci(state.e, state.omega, state.gamma, state.grid, order)
+    r = spatial_ricci(state.e, state.gamma, state.grid, order)
     tr_r = np.einsum("ii...->...", r)
     trk = np.einsum("ii...->...", state.k)
     ksq = np.einsum("ij...,ij...->...", state.k, state.k)
@@ -317,7 +300,7 @@ def spacetime_ricci(states, order=4):
     derivatives of the frame,
 
       r4_ij[r] = R[r] - d_t kt[r] + tr kt[r] * kt[r]
-      r4_00[r] = (R - |kt|^2 + (tr kt)^2)[r] - sum_I r4_ij[r, I, I]
+      r4_00[r] = tr d_t kt[r] - |kt[r]|^2
       r4_0i[r] = frame divergence constraint of kt[r]
 
     with kt the time-FD second fundamental form.  Needs at least 3 slices;
@@ -339,14 +322,9 @@ def spacetime_ricci(states, order=4):
     r4_00 = np.empty((m,) + grid.shape)
     r4_0i = np.empty((m, 3) + grid.shape)
     for r, st in enumerate(states):
-        ricci = spatial_ricci(st.e, st.omega, st.gamma, grid, order)
+        ricci = spatial_ricci(st.e, st.gamma, grid, order)
         trkt = np.einsum("ii...->...", kt[r])
         r4_ij[r] = ricci - dkt_dt[r] + trkt * kt[r]
-        ham = (
-            np.einsum("ii...->...", ricci)
-            - np.einsum("ij...,ij...->...", kt[r], kt[r])
-            + trkt**2
-        )
-        r4_00[r] = ham - np.einsum("ii...->...", r4_ij[r])
+        r4_00[r] = np.einsum("ii...->...", dkt_dt[r]) - np.einsum("ij...,ij...->...", kt[r], kt[r])
         r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid, order)
     return SpacetimeRicci(t, r4_ij, r4_00, r4_0i, kt)

@@ -1,5 +1,5 @@
-"""Numerical substrate: periodic spatial grids, log-uniform time grids, tensor
-fields with enforced index symmetries, finite-difference derivatives, and
+"""Numerical substrate: periodic spatial grids, log-uniform time grids,
+shape-checked scalar and tensor fields, finite-difference derivatives, and
 product quadrature against power-law singular integrands.
 
 Conventions used throughout the package:
@@ -22,16 +22,10 @@ import math
 
 import numpy as np
 
-from .errors import GridError, NonIntegrableError, SymmetryError
+from .errors import GridError, NonIntegrableError
 
 PERIODIC = "periodic"
 LOCALIZED = "localized"
-
-SYM_NONE = "none"
-SYM_SYMMETRIC = "symmetric_2"
-SYM_ANTISYM_LAST2 = "antisymmetric_last_2"
-
-_SYMMETRIES = (SYM_NONE, SYM_SYMMETRIC, SYM_ANTISYM_LAST2)
 
 
 class SpatialGrid:
@@ -116,28 +110,10 @@ def _check_finite(values, what):
         raise GridError(f"{what} has non-finite value at index {bad}")
 
 
-def _check_symmetry(values, symmetry, rank):
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = 1e-12 * scale + 1e-300
-    if symmetry == SYM_SYMMETRIC:
-        if rank != 2:
-            raise SymmetryError("symmetric_2 tag requires rank 2")
-        dev = float(np.max(np.abs(values - values.swapaxes(0, 1))))
-        if dev > tol:
-            raise SymmetryError(f"symmetric_2 violated by {dev:.3e} (scale {scale:.3e})")
-    elif symmetry == SYM_ANTISYM_LAST2:
-        if rank != 3:
-            raise SymmetryError("antisymmetric_last_2 tag requires rank 3")
-        dev = float(np.max(np.abs(values + values.swapaxes(1, 2))))
-        if dev > tol:
-            raise SymmetryError(f"antisymmetric_last_2 violated by {dev:.3e} (scale {scale:.3e})")
-
-
 class ScalarField:
     """Real scalar field sampled on a SpatialGrid."""
 
     rank = 0
-    symmetry = SYM_NONE
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
@@ -151,11 +127,11 @@ class ScalarField:
 class TensorField:
     """Tensor field with 1..3 frame/coordinate indices ahead of the grid axes.
 
-    The symmetry tag is enforced on construction (to rounding); hot loops work
-    on raw arrays and wrap results at module boundaries.
+    Construction checks the shape, the index dimensions and finiteness; hot
+    loops work on raw arrays and wrap results at module boundaries.
     """
 
-    def __init__(self, grid, values, symmetry=SYM_NONE):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         rank = values.ndim - 3
         if rank not in (1, 2, 3) or values.shape[rank:] != grid.shape:
@@ -164,14 +140,10 @@ class TensorField:
             )
         if values.shape[:rank] != (3,) * rank:
             raise GridError(f"tensor index dimensions must be 3, got {values.shape[:rank]}")
-        if symmetry not in _SYMMETRIES:
-            raise GridError(f"unknown symmetry tag {symmetry!r}")
         _check_finite(values, "TensorField")
-        _check_symmetry(values, symmetry, rank)
         self.grid = grid
         self.values = values
         self.rank = rank
-        self.symmetry = symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +276,7 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     return tail
 
 
-def log_time_cumint(samples, tgrid, with_tail=True):
+def log_time_cumint(samples, tgrid):
     """Cumulative integral F_j = int_0^{t_j} g dtau for g sampled at the nodes.
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
@@ -335,6 +307,6 @@ def log_time_cumint(samples, tgrid, with_tail=True):
         scale = np.maximum(scale, np.abs(m_j))
         out[j] = out[j - 1] + half * (m_j + m_prev)
         m_prev = m_j
-    out[0] = _tail_below_first_node(m0, m1, scale, tgrid.h_s) if with_tail else 0.0
+    out[0] = _tail_below_first_node(m0, m1, scale, tgrid.h_s)
     out[1:] += out[0]
     return out

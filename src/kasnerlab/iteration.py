@@ -32,6 +32,9 @@ MAX_TOWER_LEVEL = 4
 # fitted-slope slack for the warning-grade envelope report; the paper's
 # constants are not quantitative, so only exponents are checked
 ENVELOPE_SLACK = 0.15
+# the envelope fit spans the lowest FIT_DECADES of the time window; at least
+# the 1.5 decades fit_decay_rate insists on
+FIT_DECADES = 2.0
 
 
 class IterateSet:
@@ -48,7 +51,6 @@ class IterateSet:
         self.e = e
         self.omega = omega
         self.k = k
-        self.eps = data.p.eps
         self.asym_norms = asym_norms
         self.envelope_report = []
 
@@ -58,7 +60,7 @@ class IterateSet:
 
     def ricci_at(self, index, order=4):
         e, omega = self.e[index], self.omega[index]
-        return spatial_ricci(e, omega, gamma_from_frame(e, omega, self.grid, order), self.grid, order)
+        return spatial_ricci(e, gamma_from_frame(e, omega, self.grid, order), self.grid, order)
 
 
 def zeroth_iterate(data, times):
@@ -91,13 +93,26 @@ def _broadcast_times(times, ndim):
 CONTRACTION_LIMIT = 200.0
 
 
-def _check_contraction(n, big_w):
+def _cumint(n, what, samples, times):
+    """log_time_cumint with its aborts prefixed by the quantity and level."""
+    try:
+        return log_time_cumint(samples, times)
+    except NonIntegrableError as err:
+        raise NonIntegrableError(f"{what} at level {n}: {err}") from err
+
+
+def _integrating_factor(n, field, w, times):
+    """W = int_0^t w dtau for the `field` update at level n, checked against
+    CONTRACTION_LIMIT."""
+    what = f"{field} integrating factor"
+    big_w = _cumint(n, what, w, times)
     worst = float(np.max(np.abs(big_w)))
     if not np.isfinite(worst) or worst > CONTRACTION_LIMIT:
         raise NonIntegrableError(
-            f"integrating factor exponent reached {worst:.3g} at level {n}; "
+            f"{what} at level {n}: exponent reached {worst:.3g}; "
             f"the time window extends beyond the contraction regime, reduce t_max"
         )
+    return big_w
 
 
 def advance_k(n, previous, zeroth):
@@ -117,16 +132,12 @@ def advance_k(n, previous, zeroth):
     k0 = zeroth.k
 
     w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
-    big_w = log_time_cumint(w, times)
-    _check_contraction(n, big_w)
+    big_w = _integrating_factor(n, "k", w, times)
     integrand = np.empty((m, 3, 3) + grid.shape)
     for r, t in enumerate(times.times):
         ric = previous.ricci_at(r)
         integrand[r] = np.exp(-big_w[r]) * (t * ric + w[r] * t * k0[r])
-    try:
-        k_n = log_time_cumint(integrand, times)
-    except NonIntegrableError as err:
-        raise NonIntegrableError(f"k update at level {n}: {err}") from err
+    k_n = _cumint(n, "k update", integrand, times)
 
     asym_norms = np.empty(m)
     for r, t in enumerate(times.times):
@@ -159,8 +170,7 @@ def advance_e(n, k_n, previous, zeroth):
     e0, k0 = zeroth.e, zeroth.k
 
     w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
-    big_w = log_time_cumint(w_diag, times)
-    _check_contraction(n, big_w)
+    big_w = _integrating_factor(n, "frame", w_diag, times)
 
     integrand = np.empty((m, 3, 3) + grid.shape)
     for r, t in enumerate(times.times):
@@ -170,10 +180,7 @@ def advance_e(n, k_n, previous, zeroth):
             k_off[i, i] = 0.0
         source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
         integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
-    try:
-        e_n = log_time_cumint(integrand, times)
-    except NonIntegrableError as err:
-        raise NonIntegrableError(f"frame update at level {n}: {err}") from err
+    e_n = _cumint(n, "frame update", integrand, times)
     del integrand
 
     omega_series = np.empty_like(e0)
@@ -213,23 +220,21 @@ def fit_decay_rate(t, norms):
     return float(slope), float(intercept), r2
 
 
-def _fit_window(times, decades):
-    # fit_decay_rate insists on 1.5 decades of span, so never hand it less
-    decades = max(decades, 1.6)
+def _fit_window(times):
     t = times.times
-    mask = t <= times.t_min * 10.0**decades
+    mask = t <= times.t_min * 10.0**FIT_DECADES
     if np.count_nonzero(mask) < 6:
         mask = np.zeros_like(mask)
         mask[:6] = True
     return mask
 
 
-def build_tower(data, times, n_max, fit_decades=2.0):
+def build_tower(data, times, n_max):
     """Levels 0..n_max of the tower, with warning-grade envelope checks.
 
     Each level n >= 1 records the fitted decay slope of the per-node sup
     norm of k[n] - k[n-1] against the predicted -1 + n*eps inside the
-    lowest fit_decades of the time window.  A miss beyond ENVELOPE_SLACK
+    lowest FIT_DECADES of the time window.  A miss beyond ENVELOPE_SLACK
     warns and is recorded; the tower is still returned (the predicted
     envelopes carry unknown constants and windows, so a miss is a report,
     not a failure).
@@ -238,7 +243,7 @@ def build_tower(data, times, n_max, fit_decades=2.0):
         raise ConfigError(f"n_max must be in 0..{MAX_TOWER_LEVEL}, got {n_max}")
     levels = [zeroth_iterate(data, times)]
     eps = data.p.eps
-    mask = _fit_window(times, fit_decades)
+    mask = _fit_window(times)
     for n in range(1, n_max + 1):
         prev = levels[-1]
         k_n, asym_norms = advance_k(n, prev, levels[0])

@@ -3,6 +3,8 @@
 Everything here must stay implementation-independent: coordinate-space
 Christoffel assembly for curvature/connection checks, reference ODE solves
 for the integrating-factor updates, and closed forms for fixed data families.
+metric_from_coframe and perturb_offdiagonal build test inputs that the
+library itself never needs.
 The `*_reference` kernels are the plain formulas the optimised library
 kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
@@ -12,16 +14,51 @@ spatial Ricci).  The library itself never imports this module.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.errors import NonIntegrableError, SingularFrameError
+from kasnerlab.asymdata import AsymptoticDataSet
+from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import coframe_from_frame
 from kasnerlab.grids import LOCALIZED, fd_diff
 from kasnerlab.iteration import (
+    CONTRACTION_LIMIT,
     IterateSet,
-    _check_contraction,
     _fit_window,
     fit_decay_rate,
     zeroth_iterate,
 )
+
+
+def metric_from_coframe(omega):
+    """Slice metric g_ab = omega[a, C] omega[b, C]; bitwise symmetric."""
+    omega = np.asarray(omega, dtype=float)
+    g = np.einsum("ac...,bc...->ab...", omega, omega)
+    m1 = g[0, 0]
+    m2 = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+    m3 = (
+        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
+        - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
+        + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
+    )
+    if np.min(m1) <= 0 or np.min(m2) <= 0 or np.min(m3) <= 0:
+        raise ConfigError("coframe produced a non positive definite metric")
+    return g
+
+
+def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
+    """Copy of data with one off-diagonal c entry perturbed by a single sine mode.
+
+    Breaks the differential constraint while keeping every type-level
+    identity (kappa, f, h are rebuilt from the perturbed c).
+    """
+    i, j = entry
+    if i == j:
+        raise ValueError("perturb an off-diagonal entry; diagonals would break positivity bounds")
+    grid = data.grid
+    x = grid.mesh(axis)
+    c = data.c.copy()
+    bump = amp * np.sin(2.0 * np.pi * x / grid.delta)
+    c[i - 1, j - 1] = c[i - 1, j - 1] + bump
+    c[j - 1, i - 1] = c[i - 1, j - 1]
+    return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
 
 
 def christoffel_from_metric(g, h, order=4, mode="periodic"):
@@ -382,17 +419,32 @@ def tail_reference(m, h_s):
     return tail
 
 
-def cumsum_cumint_reference(samples, tgrid, with_tail=True):
+def cumsum_cumint_reference(samples, tgrid):
     """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
     the power-law tail below t_min, on the full m = tau*g series."""
     m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
     if not np.all(np.isfinite(m)):
         raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
     out = np.empty_like(m)
-    out[0] = tail_reference(m, tgrid.h_s) if with_tail else 0.0
+    out[0] = tail_reference(m, tgrid.h_s)
     np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
     out[1:] += out[0]
     return out
+
+
+def _level_cumint_reference(n, what, samples, tgrid):
+    try:
+        return cumsum_cumint_reference(samples, tgrid)
+    except NonIntegrableError as err:
+        raise NonIntegrableError(f"{what} at level {n}: {err}") from err
+
+
+def _integrating_factor_reference(n, field, w, tgrid):
+    what = f"{field} integrating factor"
+    big_w = _level_cumint_reference(n, what, w, tgrid)
+    if not np.max(np.abs(big_w)) <= CONTRACTION_LIMIT:
+        raise NonIntegrableError(f"{what} at level {n}: exponent beyond {CONTRACTION_LIMIT}")
+    return big_w
 
 
 def tower_reference(data, times, n_max):
@@ -405,23 +457,19 @@ def tower_reference(data, times, n_max):
     pv = data.p.as_array()
     zeroth = previous = zeroth_iterate(data, times)
     e0, k0 = zeroth.e, zeroth.k
-    mask = _fit_window(times, 2.0)
+    mask = _fit_window(times)
     out = []
     for n in range(1, n_max + 1):
         # k update
         w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
-        big_w = cumsum_cumint_reference(w, times)
-        _check_contraction(n, big_w)
+        big_w = _integrating_factor_reference(n, "k", w, times)
         integrand = np.stack(
             [
                 np.exp(-big_w[r]) * (t * previous.ricci_at(r) + w[r] * t * k0[r])
                 for r, t in enumerate(times.times)
             ]
         )
-        try:
-            acc = cumsum_cumint_reference(integrand, times)
-        except NonIntegrableError as err:
-            raise NonIntegrableError(f"k update at level {n}: {err}") from err
+        acc = _level_cumint_reference(n, "k update", integrand, times)
         k_n = k0 + np.exp(big_w)[:, None, None] * acc / t_col
         asym = 0.5 * (k_n - np.swapaxes(k_n, 1, 2))
         asym_norms = np.abs(asym).reshape(times.n_steps, -1).max(axis=1)
@@ -429,8 +477,7 @@ def tower_reference(data, times, n_max):
 
         # frame update
         w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
-        big_w = cumsum_cumint_reference(w_diag, times)
-        _check_contraction(n, big_w)
+        big_w = _integrating_factor_reference(n, "frame", w_diag, times)
         k_off = previous.k.copy()
         for i in range(3):
             k_off[:, i, i] = 0.0
@@ -439,10 +486,7 @@ def tower_reference(data, times, n_max):
             t_up = np.exp(pv * np.log(t))
             source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off[r], previous.e[r])
             integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
-        try:
-            acc = cumsum_cumint_reference(integrand, times)
-        except NonIntegrableError as err:
-            raise NonIntegrableError(f"frame update at level {n}: {err}") from err
+        acc = _level_cumint_reference(n, "frame update", integrand, times)
         e_n = np.empty_like(e0)
         omega = np.empty_like(e0)
         for r, t in enumerate(times.times):

@@ -31,7 +31,6 @@ from kasnerlab.errors import ConfigError, DegenerateExponentsError
 from kasnerlab.families import (
     homogeneous_dataset,
     layered_dataset,
-    perturb_offdiagonal,
     random_dataset,
     u_wave_c33,
     u_wave_dataset,
@@ -39,7 +38,7 @@ from kasnerlab.families import (
 )
 from kasnerlab.grids import ScalarField, SpatialGrid
 
-from oracles import ode_reference, quad_cumulative, seam_reference, sympy_residual_gaps
+from oracles import ode_reference, perturb_offdiagonal, quad_cumulative, seam_reference, sympy_residual_gaps
 
 DELTA = 2.0 * np.pi
 
@@ -89,6 +88,8 @@ class TestKasnerExponents:
             KasnerExponents(grid, p.p1 + 5e-12, p.p2, p.p3)
         with pytest.raises(DegenerateExponentsError):
             KasnerExponents(grid, p.p2, p.p1, p.p3)
+        with pytest.raises(ConfigError, match="ScalarField"):
+            exponents_from_u(np.full(grid.shape, 2.0))
 
     def test_degeneracy_guard_near_one(self):
         grid = small_grid()

@@ -20,7 +20,6 @@ from kasnerlab.geometry import (
     coframe_from_frame,
     gamma_from_frame,
     hamiltonian_residual,
-    metric_from_coframe,
     momentum_residual_evolved,
     second_fundamental_from_frame,
     spacetime_ricci,
@@ -34,6 +33,7 @@ from oracles import (
     covariant_gamma_oracle,
     gamma_reference,
     kasner_symbolic_ricci,
+    metric_from_coframe,
     momentum_coordinate_oracle,
     ricci_coordinate_oracle,
     spatial_ricci_reference,
@@ -230,7 +230,7 @@ class TestSpatialRicci:
     def test_homogeneous_slice_is_flat(self):
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.4)
-        r = spatial_ricci(st.e, st.omega, st.gamma, grid)
+        r = spatial_ricci(st.e, st.gamma, grid)
         assert np.all(r == 0.0)
 
     @pytest.mark.parametrize("mode", ["periodic", "localized"])
@@ -245,7 +245,7 @@ class TestSpatialRicci:
         bump[0, 1, 2] = 1e-3 * np.sin(grid.mesh(1) + grid.mesh(3))
         bump[0, 2, 1] = -bump[0, 1, 2]
         for g in (gam, gam + bump):
-            got = spatial_ricci(e, om, g, grid, order)
+            got = spatial_ricci(e, g, grid, order)
             assert_close_to_reference(got, spatial_ricci_reference(e, g, grid, order))
 
     def test_against_coordinate_oracle(self):
@@ -254,7 +254,7 @@ class TestSpatialRicci:
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
         gam = gamma_from_frame(e, om, grid)
-        r_frame = spatial_ricci(e, om, gam, grid)
+        r_frame = spatial_ricci(e, gam, grid)
         r_coord = ricci_coordinate_oracle(metric_from_coframe(om), grid.h)
         r_pull = np.einsum("ia...,jb...,ab...->ij...", e, e, r_coord)
         assert np.max(np.abs(r_frame - r_pull)) < 8e-3
@@ -266,7 +266,7 @@ class TestSpatialRicci:
             e = smooth_frame(grid)
             om = coframe_from_frame(e)
             gam = gamma_from_frame(e, om, grid)
-            r_frame = spatial_ricci(e, om, gam, grid)
+            r_frame = spatial_ricci(e, gam, grid)
             r_coord = ricci_coordinate_oracle(metric_from_coframe(om), grid.h)
             gaps[n] = np.max(np.abs(r_frame - np.einsum("ia...,jb...,ab...->ij...", e, e, r_coord)))
         assert gaps[16] / gaps[32] > 10.0
@@ -276,7 +276,7 @@ class TestSpatialRicci:
         grid = SpatialGrid(DELTA, 24)
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
-        r = spatial_ricci(e, om, gamma_from_frame(e, om, grid), grid)
+        r = spatial_ricci(e, gamma_from_frame(e, om, grid), grid)
         assert np.max(np.abs(r - np.swapaxes(r, 0, 1))) < 1.5e-3
         assert np.max(np.abs(r)) > 0.1  # the field itself is far from zero
 
@@ -290,7 +290,7 @@ class TestSpatialRicci:
         e[2, 2] = 1.0
         om = coframe_from_frame(e)
         gam = gamma_from_frame(e, om, grid)
-        r_frame = spatial_ricci(e, om, gam, grid)
+        r_frame = spatial_ricci(e, gam, grid)
         r_coord = ricci_coordinate_oracle(metric_from_coframe(om), grid.h)
         r_pull = np.einsum("ia...,jb...,ab...->ij...", e, e, r_coord)
         assert np.max(np.abs(r_frame - r_pull)) < 5e-4
@@ -401,7 +401,7 @@ class TestDerivativeCount:
         st = FrameState(grid, e, om, smooth_symmetric(grid), gamma_from_frame(e, om, grid), 1.0)
         kernels = {
             "gamma_from_frame": lambda: gamma_from_frame(e, om, grid),
-            "spatial_ricci": lambda: spatial_ricci(e, om, st.gamma, grid),
+            "spatial_ricci": lambda: spatial_ricci(e, st.gamma, grid),
             "momentum_residual_evolved": lambda: momentum_residual_evolved(st),
         }
         fd_diff = geometry.fd_diff
@@ -513,9 +513,26 @@ class TestSpacetimeRicci:
         trkt_kt = np.einsum("rii...->r...", kt)[:, None, None] * kt
         used = r4.r4_ij + dkt_dt - trkt_kt
         for r, st in enumerate(states):
-            want = spatial_ricci(st.e, st.omega, st.gamma, grid, order=4)
+            want = spatial_ricci(st.e, st.gamma, grid, order=4)
             scale = max(np.max(np.abs(a)) for a in (dkt_dt[r], trkt_kt[r], want))
             assert np.max(np.abs(used[r] - want)) <= 1e-14 * scale
+
+    def test_r4_00_is_the_hamiltonian_minus_the_spatial_trace(self):
+        # tr d_t kt - |kt|^2 is (R - |kt|^2 + (tr kt)^2) - tr r4_ij with the
+        # spatial Ricci and (tr kt)^2 terms cancelled algebraically (measured
+        # 8.9e-14 relative per node)
+        grid = SpatialGrid(DELTA, 12)
+        times = LogTimeGrid(1e-4, 1e-1, 9)
+        level = zeroth_iterate(u_wave_dataset(grid), times)
+        states = [FrameState.from_frame(grid, level.e[r], level.k[r], t) for r, t in enumerate(times.times)]
+        r4 = spacetime_ricci(states)
+        for r, st in enumerate(states):
+            kt = r4.k_tilde[r]
+            trkt = np.einsum("ii...->...", kt)
+            ricci = spatial_ricci(st.e, st.gamma, grid)
+            ham = np.einsum("ii...->...", ricci) - np.einsum("ij...,ij...->...", kt, kt) + trkt**2
+            want = ham - np.einsum("ii...->...", r4.r4_ij[r])
+            assert np.max(np.abs(r4.r4_00[r] - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_component_shapes(self):
         grid = SpatialGrid(DELTA, 8)

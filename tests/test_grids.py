@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kasnerlab.errors import GridError, NonIntegrableError, SymmetryError
+from kasnerlab.errors import GridError, NonIntegrableError
 from kasnerlab.grids import (
     LogTimeGrid,
     ScalarField,
@@ -65,20 +65,6 @@ class TestLogTimeGrid:
 
 
 class TestFieldTypes:
-    def test_symmetric_tag_enforced(self):
-        g = make_grid(8)
-        v = np.random.default_rng(0).normal(size=(3, 3) + g.shape)
-        with pytest.raises(SymmetryError):
-            TensorField(g, v, symmetry="symmetric_2")
-        TensorField(g, 0.5 * (v + v.swapaxes(0, 1)), symmetry="symmetric_2")
-
-    def test_antisymmetric_tag_enforced(self):
-        g = make_grid(8)
-        v = np.random.default_rng(1).normal(size=(3, 3, 3) + g.shape)
-        with pytest.raises(SymmetryError):
-            TensorField(g, v, symmetry="antisymmetric_last_2")
-        TensorField(g, 0.5 * (v - v.swapaxes(1, 2)), symmetry="antisymmetric_last_2")
-
     def test_non_finite_rejected_with_location(self):
         g = make_grid(8)
         v = np.zeros(g.shape)
@@ -90,6 +76,10 @@ class TestFieldTypes:
         g = make_grid(8)
         with pytest.raises(GridError):
             ScalarField(g, np.zeros((8, 8, 4)))
+        with pytest.raises(GridError, match="incompatible"):
+            TensorField(g, np.zeros((3, 8, 8, 4)))
+        with pytest.raises(GridError, match="index dimensions"):
+            TensorField(g, np.zeros((3, 2) + g.shape))
 
 
 class TestFdDerivative:
@@ -263,8 +253,7 @@ class TestLogTimeIntegral:
         val = log_time_cumint(g, tg)[-1]
         assert val == pytest.approx(1 / 1.3, rel=3e-5)
 
-    @pytest.mark.parametrize("with_tail", [True, False])
-    def test_matches_cumsum_reference_bitwise(self, with_tail):
+    def test_matches_cumsum_reference_bitwise(self):
         tg = LogTimeGrid(1e-4, 1e-1, 41)
         t = tg.times
         rng = np.random.default_rng(3)
@@ -272,8 +261,7 @@ class TestLogTimeIntegral:
         amp = rng.normal(size=(1, 3, 3, 4, 5, 6))
         series_6d = t.reshape(-1, 1, 1, 1, 1, 1) ** -0.3 * amp
         for series in (series_1d, series_6d):
-            got = log_time_cumint(series, tg, with_tail)
-            assert np.array_equal(got, cumsum_cumint_reference(series, tg, with_tail))
+            assert np.array_equal(log_time_cumint(series, tg), cumsum_cumint_reference(series, tg))
 
     def test_input_only_read(self):
         tg = LogTimeGrid(1e-4, 1e-1, 41)

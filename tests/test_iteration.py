@@ -11,7 +11,7 @@ import pytest
 from kasnerlab.errors import ConfigError, NonIntegrableError
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
 from kasnerlab.grids import LogTimeGrid, SpatialGrid
-from kasnerlab.iteration import IterateSet, build_tower, fit_decay_rate, zeroth_iterate
+from kasnerlab.iteration import IterateSet, advance_e, advance_k, build_tower, fit_decay_rate, zeroth_iterate
 
 from oracles import gamma_reference, spatial_ricci_reference, tower_reference, zeroth_series_reference
 
@@ -68,6 +68,22 @@ class TestTowerMatchesWholeSeriesFormulas:
         with pytest.raises(NonIntegrableError) as got:
             build_tower(data, time_grid(), 2)
         assert str(got.value) == str(want.value)
+
+
+class TestIntegratingFactorAbort:
+    def test_abort_names_the_level_and_the_field(self):
+        # a planted k = k0 + diag(c)/t makes tau*w constant, so the integrating
+        # factor's integrand does not decay toward t = 0
+        data, times = homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid()
+        zeroth = zeroth_iterate(data, times)
+        planted = zeroth.k.copy()
+        for i, c in enumerate((0.1, 0.2, 0.3)):
+            planted[:, i, i] += c / times.times[:, None, None, None]
+        previous = IterateSet(1, data, times, zeroth.e, zeroth.omega, planted)
+        with pytest.raises(NonIntegrableError, match="^k integrating factor at level 2: non-integrable"):
+            advance_k(2, previous, zeroth)
+        with pytest.raises(NonIntegrableError, match="^frame integrating factor at level 2: non-integrable"):
+            advance_e(2, planted, zeroth, zeroth)
 
 
 class TestTowerMatchesAllComponentGeometry:

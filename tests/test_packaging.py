@@ -1,0 +1,17 @@
+"""Packaging metadata: every entry point pyproject.toml declares must exist."""
+
+import importlib
+import pathlib
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_declared_scripts_import():
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
