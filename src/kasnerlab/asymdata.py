@@ -76,18 +76,14 @@ class KasnerExponents:
     Stores the margin eps = min over the grid of min(1 - p3, p3 - p2); every
     decay estimate downstream is phrased in terms of eps, and the data set is
     rejected when either gap closes to within DEGENERACY_FLOOR.
-
-    check=False skips validation; it exists so diagnostics can build data
-    that deliberately violate the algebraic relations.
     """
 
-    def __init__(self, grid, p1, p2, p3, check=True):
+    def __init__(self, grid, p1, p2, p3):
         self.grid = grid
         self.p1 = _values_on(grid, p1, "p1")
         self.p2 = _values_on(grid, p2, "p2")
         self.p3 = _values_on(grid, p3, "p3")
-        if check:
-            self._validate()
+        self._validate()
         self.eps = float(np.min(np.minimum(1.0 - self.p3, self.p3 - self.p2)))
 
     def _validate(self):

@@ -26,20 +26,17 @@ def _grid_fd(grid, values, axis, order):
     return fd_diff(values, axis, order, grid.h, grid.mode)
 
 
-def coframe_from_frame(e):
-    """Pointwise inverse of the frame matrix via the adjugate.
+def _cofactor(e, i, j):
+    """Cofactor of e[j, i], so that inverse[i, j] = _cofactor(e, i, j) / det."""
+    j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+    return e[j1, i1] * e[j2, i2] - e[j1, i2] * e[j2, i1]
 
-    Closed-form cofactors keep the cost at a handful of fused array ops and
-    make the (co)frame relation exact on diagonal input.
-    """
-    e = np.asarray(e, dtype=float)
-    a00, a01, a02 = e[0, 0], e[0, 1], e[0, 2]
-    a10, a11, a12 = e[1, 0], e[1, 1], e[1, 2]
-    a20, a21, a22 = e[2, 0], e[2, 1], e[2, 2]
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
-    det = a00 * c00 + a01 * c01 + a02 * c02
+
+def frame_determinant(e):
+    """(det, c) of the frame matrix, c the cofactors of its first row, after
+    checking det against the floor; raises SingularFrameError below it."""
+    c = [_cofactor(e, i, 0) for i in range(3)]
+    det = e[0, 0] * c[0] + e[0, 1] * c[1] + e[0, 2] * c[2]
     # Hadamard bound as the natural determinant scale: rows of a frame near
     # the singularity carry wildly different powers of t, so max|e|^3 would
     # overestimate the scale by many orders and flag healthy frames
@@ -53,16 +50,20 @@ def coframe_from_frame(e):
             f"frame determinant {det[loc]:.3e} below floor {floor[loc]:.3e} "
             f"at grid point {tuple(int(i) for i in loc)}"
         )
+    return det, c
+
+
+def coframe_from_frame(e):
+    """Pointwise inverse of the frame matrix via the adjugate.
+
+    Closed-form cofactors keep the cost at a handful of fused array ops and
+    make the (co)frame relation exact on diagonal input.
+    """
+    e = np.asarray(e, dtype=float)
+    det, c = frame_determinant(e)
     omega = np.empty_like(e)
-    omega[0, 0] = c00
-    omega[1, 0] = c01
-    omega[2, 0] = c02
-    omega[0, 1] = a02 * a21 - a01 * a22
-    omega[1, 1] = a00 * a22 - a02 * a20
-    omega[2, 1] = a01 * a20 - a00 * a21
-    omega[0, 2] = a01 * a12 - a02 * a11
-    omega[1, 2] = a02 * a10 - a00 * a12
-    omega[2, 2] = a00 * a11 - a01 * a10
+    for i, j in np.ndindex(3, 3):
+        omega[i, j] = _cofactor(e, i, j) if j else c[i]
     omega /= det
     return omega
 

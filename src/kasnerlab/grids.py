@@ -113,8 +113,6 @@ def _check_finite(values, what):
 class ScalarField:
     """Real scalar field sampled on a SpatialGrid."""
 
-    rank = 0
-
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
@@ -276,14 +274,15 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     return tail
 
 
-def log_time_cumint(samples, tgrid):
+def log_time_cumint(samples, tgrid, out=None):
     """Cumulative integral F_j = int_0^{t_j} g dtau for g sampled at the nodes.
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
     tail below t_min. Works on any trailing shape; time axis leads.
 
     Memory: the output plus a few one-node slabs.  m is formed one node at
-    a time; the samples are only read.
+    a time, node j before out[j] is written, so `out` may be `samples`: the
+    integral then overwrites the samples and nothing series-sized is added.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
@@ -295,7 +294,7 @@ def log_time_cumint(samples, tgrid):
             raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
         return m_j
 
-    out = np.empty(samples.shape)
+    out = np.empty(samples.shape) if out is None else out
     half = 0.5 * tgrid.h_s
     m0, m1 = node(0), node(1)
     scale = np.maximum(np.abs(m0), np.abs(m1))

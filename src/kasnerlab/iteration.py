@@ -1,9 +1,9 @@
 """Approximate-solution tower over a log-uniform time grid.
 
 Level 0 is the closed-form product of the asymptotic data (weighted frame
-f t^-p, its inverse, k = -diag(p)/t).  Each higher level solves two linear
-transport problems in time by integrating factors, with the integrals taken
-from t = 0 using the power-law tail closure of the log-time quadrature:
+f t^-p, its inverse h t^p, k = -diag(p)/t).  Each higher level solves two
+linear transport problems in time by integrating factors, with the integrals
+taken from t = 0 using the power-law tail closure of the log-time quadrature:
 
   t (k[n] - k[0])      = exp(W) int_0^t exp(-W(tau)) {tau R[n-1]
                                     + w (tau k[0])} dtau,  w = tr k[n-1] - tr k[0]
@@ -18,6 +18,9 @@ zero in floating point, so the tower sits at the fixed point bit for bit.
 The time update for k preserves symmetry analytically but not in quadrature;
 levels store the discarded asymmetry norm per node as a health series and
 return the symmetrized field.
+
+A level stores the frame e and k as series and nothing else: the coframe
+(the frame's pointwise inverse) and gamma are formed per node on use.
 """
 
 import warnings
@@ -25,7 +28,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
-from .geometry import coframe_from_frame, gamma_from_frame, spatial_ricci
+from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
 from .grids import log_time_cumint
 
 MAX_TOWER_LEVEL = 4
@@ -38,18 +41,19 @@ FIT_DECADES = 2.0
 
 
 class IterateSet:
-    """One tower level: frame, coframe, and k series on the time grid.
+    """One tower level: the frame and k series on the time grid.
 
-    gamma is derived (never evolved here) and computed from the frame per
-    node on use, since a stored series would triple the memory bill.
+    The coframe and gamma are derived from the frame per node on use
+    (coframe_at, ricci_at); storing them would add one and three series to
+    the two a level holds.  `omega` forms the whole coframe series on each
+    access, at O(series) time and memory; the tower itself never reads it.
     """
 
-    def __init__(self, n, data, times, e, omega, k, asym_norms=None):
+    def __init__(self, n, data, times, e, k, asym_norms=None):
         self.n = int(n)
         self.data = data
         self.times = times
         self.e = e
-        self.omega = omega
         self.k = k
         self.asym_norms = asym_norms
         self.envelope_report = []
@@ -58,30 +62,47 @@ class IterateSet:
     def grid(self):
         return self.data.grid
 
+    def coframe_at(self, r):
+        """Coframe at node r: h t^p at level 0, the inverse of e[r] above."""
+        if self.n > 0:
+            return coframe_from_frame(self.e[r])
+        data = self.data
+        up = np.exp(data.p.as_array() * np.log(self.times.times[r]))  # t^{p_a}
+        omega = np.zeros((3, 3) + data.grid.shape)
+        for i, a in np.ndindex(3, 3):
+            # entries that vanish identically stay +0.0 (h holds some as -0.0)
+            if data.h[i, a].any():
+                omega[i, a] = data.h[i, a] * up[a]
+        return omega
+
+    @property
+    def omega(self):
+        """The coframe series, formed node by node anew on each access."""
+        omega = np.empty_like(self.e)
+        for r in range(self.times.n_steps):
+            omega[r] = self.coframe_at(r)
+        return omega
+
     def ricci_at(self, index, order=4):
-        e, omega = self.e[index], self.omega[index]
-        return spatial_ricci(e, gamma_from_frame(e, omega, self.grid, order), self.grid, order)
+        e = self.e[index]
+        gamma = gamma_from_frame(e, self.coframe_at(index), self.grid, order)
+        return spatial_ricci(e, gamma, self.grid, order)
 
 
 def zeroth_iterate(data, times):
-    """Level 0 in closed form: e = f t^-p, omega = h t^p, k = -diag(p)/t."""
+    """Level 0 in closed form: e = f t^-p, k = -diag(p)/t (coframe h t^p)."""
     pv = data.p.as_array()[None]
     t = _broadcast_times(times, pv.ndim)
-    logt = np.log(t)
-    down = np.exp(-pv * logt)  # t^{-p_I}
-    up = np.exp(pv * logt)
+    down = np.exp(-pv * np.log(t))  # t^{-p_I}
     e = np.zeros((times.n_steps, 3, 3) + data.grid.shape)
-    omega = np.zeros_like(e)
     for i, a in np.ndindex(3, 3):
-        # entries that vanish identically stay +0.0 (f and h hold some as -0.0)
+        # entries that vanish identically stay +0.0 (f holds some as -0.0)
         if data.f[i, a].any():
             e[:, i, a] = data.f[i, a] * down[:, i]
-        if data.h[i, a].any():
-            omega[:, i, a] = data.h[i, a] * up[:, a]
     k = np.zeros_like(e)
     diag = np.arange(3)
     k[:, diag, diag] = -pv / t
-    return IterateSet(0, data, times, e, omega, k)
+    return IterateSet(0, data, times, e, k)
 
 
 def _broadcast_times(times, ndim):
@@ -93,10 +114,10 @@ def _broadcast_times(times, ndim):
 CONTRACTION_LIMIT = 200.0
 
 
-def _cumint(n, what, samples, times):
+def _cumint(n, what, samples, times, out=None):
     """log_time_cumint with its aborts prefixed by the quantity and level."""
     try:
-        return log_time_cumint(samples, times)
+        return log_time_cumint(samples, times, out)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"{what} at level {n}: {err}") from err
 
@@ -121,8 +142,8 @@ def advance_k(n, previous, zeroth):
     Returns (k_series, asym_norms): the symmetrized update and the
     per-node sup norm of the part the symmetrization discarded.
 
-    Memory: two series-sized buffers, the integrand and the quadrature
-    output, which becomes k_series in place, plus one-node slabs.
+    Memory: one series-sized buffer, the integrand, which the quadrature
+    overwrites and which then becomes k_series in place, plus one-node slabs.
     """
     if n < 1:
         raise ConfigError(f"advance_k needs n >= 1, got {n}")
@@ -137,7 +158,7 @@ def advance_k(n, previous, zeroth):
     for r, t in enumerate(times.times):
         ric = previous.ricci_at(r)
         integrand[r] = np.exp(-big_w[r]) * (t * ric + w[r] * t * k0[r])
-    k_n = _cumint(n, "k update", integrand, times)
+    k_n = _cumint(n, "k update", integrand, times, out=integrand)
 
     asym_norms = np.empty(m)
     for r, t in enumerate(times.times):
@@ -156,10 +177,10 @@ def advance_e(n, k_n, previous, zeroth):
 
     The diagonal of k couples at level n (it sits in the integrating
     factor); off-diagonal terms enter the source at level n-1, as the
-    scheme's update order requires.  Returns (e_series, omega_series).
+    scheme's update order requires.  Returns e_series; each node's frame
+    is checked to be invertible, the coframe itself is not formed.
 
-    Memory: as in advance_k, with e_series in place of k_series;
-    omega_series is allocated only once the integrand is freed.
+    Memory: as in advance_k, with e_series in place of k_series.
     """
     if n < 1:
         raise ConfigError(f"advance_e needs n >= 1, got {n}")
@@ -180,19 +201,17 @@ def advance_e(n, k_n, previous, zeroth):
             k_off[i, i] = 0.0
         source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
         integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
-    e_n = _cumint(n, "frame update", integrand, times)
-    del integrand
+    e_n = _cumint(n, "frame update", integrand, times, out=integrand)
 
-    omega_series = np.empty_like(e0)
     for r, t in enumerate(times.times):
         t_down = np.exp(-pv * np.log(t))
         e_n[r] *= t_down[:, None] * np.exp(big_w[r])[:, None]
         np.add(e0[r], e_n[r], out=e_n[r])
         try:
-            omega_series[r] = coframe_from_frame(e_n[r])
+            frame_determinant(e_n[r])
         except SingularFrameError as err:
             raise SingularFrameError(f"tower level {n} at t={t:.6e}: {err}") from err
-    return e_n, omega_series
+    return e_n
 
 
 def fit_decay_rate(t, norms):
@@ -247,8 +266,8 @@ def build_tower(data, times, n_max):
     for n in range(1, n_max + 1):
         prev = levels[-1]
         k_n, asym_norms = advance_k(n, prev, levels[0])
-        e_n, omega_n = advance_e(n, k_n, prev, levels[0])
-        level = IterateSet(n, data, times, e_n, omega_n, k_n, asym_norms)
+        e_n = advance_e(n, k_n, prev, levels[0])
+        level = IterateSet(n, data, times, e_n, k_n, asym_norms)
         diff = np.array([np.abs(k_r - prev_r).max() for k_r, prev_r in zip(k_n, prev.k)])
         predicted = -1.0 + n * eps
         # exactly-zero differences (fixed point) leave nothing to fit

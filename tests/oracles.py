@@ -3,18 +3,20 @@
 Everything here must stay implementation-independent: coordinate-space
 Christoffel assembly for curvature/connection checks, reference ODE solves
 for the integrating-factor updates, and closed forms for fixed data families.
-metric_from_coframe and perturb_offdiagonal build test inputs that the
-library itself never needs.
+metric_from_coframe, perturb_offdiagonal and unchecked_exponents build test
+inputs that the library itself never needs.
 The `*_reference` kernels are the plain formulas the optimised library
 kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
 spatial Ricci).  The library itself never imports this module.
 """
 
+from unittest import mock
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.asymdata import AsymptoticDataSet
+from kasnerlab.asymdata import AsymptoticDataSet, KasnerExponents
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import coframe_from_frame
 from kasnerlab.grids import LOCALIZED, fd_diff
@@ -41,6 +43,13 @@ def metric_from_coframe(omega):
     if np.min(m1) <= 0 or np.min(m2) <= 0 or np.min(m3) <= 0:
         raise ConfigError("coframe produced a non positive definite metric")
     return g
+
+
+def unchecked_exponents(grid, p1, p2, p3):
+    """KasnerExponents built past its relation and gap checks, for inputs
+    that deliberately violate them; eps is computed as for checked data."""
+    with mock.patch.object(KasnerExponents, "_validate", lambda self: None):
+        return KasnerExponents(grid, p1, p2, p3)
 
 
 def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
@@ -500,7 +509,7 @@ def tower_reference(data, times, n_max):
         diff = np.abs(k_n - previous.k).reshape(times.n_steps, -1).max(axis=1)
         slope = fit_decay_rate(times.times[mask], diff[mask])[0] if np.all(diff[mask] > 0) else None
         out.append((e_n, omega, k_n, asym_norms, slope))
-        previous = IterateSet(n, data, times, e_n, omega, k_n, asym_norms)
+        previous = IterateSet(n, data, times, e_n, k_n, asym_norms)
     return out
 
 

@@ -38,7 +38,14 @@ from kasnerlab.families import (
 )
 from kasnerlab.grids import ScalarField, SpatialGrid
 
-from oracles import ode_reference, perturb_offdiagonal, quad_cumulative, seam_reference, sympy_residual_gaps
+from oracles import (
+    ode_reference,
+    perturb_offdiagonal,
+    quad_cumulative,
+    seam_reference,
+    sympy_residual_gaps,
+    unchecked_exponents,
+)
 
 DELTA = 2.0 * np.pi
 
@@ -99,12 +106,8 @@ class TestKasnerExponents:
 
     def test_unchecked_channel_for_violations(self):
         grid = small_grid()
-        p = KasnerExponents(
-            grid,
-            np.full(grid.shape, -0.3),
-            np.full(grid.shape, 0.5),
-            np.full(grid.shape, 0.9),
-            check=False,
+        p = unchecked_exponents(
+            grid, np.full(grid.shape, -0.3), np.full(grid.shape, 0.5), np.full(grid.shape, 0.9)
         )
         assert abs(p.eps - 0.1) < 1e-15
 
@@ -305,15 +308,12 @@ class TestKappaTransports:
 
     def test_degenerate_gap_flagged(self):
         grid = small_grid()
-        p = KasnerExponents(
-            grid,
-            np.full(grid.shape, -0.2),
-            np.full(grid.shape, 0.6),
-            np.full(grid.shape, 0.6 + 1e-9),
-            check=False,
+        # built past the constructor's own gap check, so the solver's guard fires
+        p = unchecked_exponents(
+            grid, np.full(grid.shape, -0.2), np.full(grid.shape, 0.6), np.full(grid.shape, 0.6 + 1e-9)
         )
         ones = np.ones(grid.shape)
-        with pytest.raises(DegenerateExponentsError):
+        with pytest.raises(DegenerateExponentsError, match="exponent gaps too small"):
             solve_kappa23(p, ones, ones, ones)
 
 

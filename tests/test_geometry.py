@@ -18,6 +18,7 @@ from kasnerlab.families import random_dataset, u_wave_dataset
 from kasnerlab.geometry import (
     FrameState,
     coframe_from_frame,
+    frame_determinant,
     gamma_from_frame,
     hamiltonian_residual,
     momentum_residual_evolved,
@@ -129,6 +130,17 @@ class TestCoframe:
         with pytest.raises(SingularFrameError) as err:
             coframe_from_frame(e)
         assert "(2, 5, 1)" in str(err.value)
+
+    def test_determinant_check_shared_with_the_inverse(self):
+        grid = SpatialGrid(DELTA, 8)
+        e = smooth_frame(grid, amp=0.1)
+        e[:, :, 2, 5, 1] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]]
+        with pytest.raises(SingularFrameError) as inverse:
+            coframe_from_frame(e)
+        with pytest.raises(SingularFrameError) as determinant:
+            frame_determinant(e)
+        assert str(determinant.value) == str(inverse.value)
+        assert "at grid point (2, 5, 1)" in str(determinant.value)
 
 
 class TestMetricFromCoframe:

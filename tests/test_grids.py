@@ -272,6 +272,16 @@ class TestLogTimeIntegral:
         series.setflags(write=False)
         assert np.array_equal(log_time_cumint(series, tg), out)
 
+    def test_in_place_output_bitwise(self):
+        # node j is read before out[j] is written, so out=samples is exact
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        t = tg.times
+        amp = np.random.default_rng(5).normal(size=(1, 3, 3, 4, 5, 6))
+        for series in (t**-0.5 * (1.0 + 0.1 * np.sin(np.log(t))), t.reshape(-1, 1, 1, 1, 1, 1) ** -0.3 * amp):
+            want = log_time_cumint(series, tg)
+            assert log_time_cumint(series, tg, out=series) is series
+            assert series.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("node", [0, 20, 40])
     def test_non_finite_sample_rejected_at_any_node(self, node, bad):
