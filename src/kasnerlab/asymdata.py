@@ -171,15 +171,25 @@ def coframe_matrix_from_frame(f):
     return h
 
 
+# the entries (i, j), i <= j, that fix a symmetric 3x3 matrix
+_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+
+
+def _metric_entry(f, i, j):
+    """c_ij, i <= j, from the frame coefficients: the closed-form inverse of
+    frame_matrix_from_metric, one entry at a time."""
+    if i == j:
+        return f[i, i] ** -2.0
+    if j == i + 1:
+        return -f[i, j] / (f[i, i] * f[j, j] ** 2)
+    return (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2] ** 2)
+
+
 def metric_from_frame_matrix(f):
-    """Inverse of frame_matrix_from_metric; used for the round-trip invariant."""
-    c = np.zeros_like(f)
-    c[0, 0] = f[0, 0] ** -2.0
-    c[1, 1] = f[1, 1] ** -2.0
-    c[2, 2] = f[2, 2] ** -2.0
-    c[0, 1] = c[1, 0] = -f[0, 1] / (f[0, 0] * f[1, 1] ** 2)
-    c[1, 2] = c[2, 1] = -f[1, 2] / (f[1, 1] * f[2, 2] ** 2)
-    c[0, 2] = c[2, 0] = (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2] ** 2)
+    """Inverse of frame_matrix_from_metric."""
+    c = np.empty_like(f)
+    for i, j in _UPPER:
+        c[i, j] = c[j, i] = _metric_entry(f, i, j)
     return c
 
 
@@ -217,6 +227,12 @@ class SeamReport:
         )
 
 
+def _max_abs(fields):
+    """max|x| over a sequence of grid fields, one field at a time: no
+    whole-matrix |x| is formed, and a NaN propagates as in np.max."""
+    return float(np.max([np.max(np.abs(x)) for x in fields]))
+
+
 class AsymptoticDataSet:
     """Exponents plus metric/frame coefficient blocks forming data on the singularity.
 
@@ -237,47 +253,45 @@ class AsymptoticDataSet:
         self.grid = grid
         self.p = p
         self.c = c
-        self._validate_metric()
+        scale = self._validate_metric()
         self.f = frame_matrix_from_metric(c)
         self.h = coframe_matrix_from_frame(self.f)
         self.kappa12, self.kappa23, self.kappa13 = kappa_fields_from_metric(p, c)
         self.seam = seam
-        self._validate_round_trip()
+        self._validate_round_trip(scale)
 
     def _validate_metric(self):
-        if not np.all(np.isfinite(self.c)):
+        """Finite, positive-diagonal and symmetric c; returns max|c|."""
+        c = self.c
+        if not all(np.isfinite(c[i, j]).all() for i, j in np.ndindex(3, 3)):
             raise ConfigError("c contains non-finite entries")
         for i in range(3):
-            if np.any(self.c[i, i] <= 0.0):
-                bad = np.unravel_index(int(np.argmin(self.c[i, i])), self.grid.shape)
+            if np.any(c[i, i] <= 0.0):
+                bad = np.unravel_index(int(np.argmin(c[i, i])), self.grid.shape)
                 raise ConfigError(
                     f"c{i + 1}{i + 1} must be positive; min = "
-                    f"{float(np.min(self.c[i, i])):.3e} at grid index {tuple(int(v) for v in bad)}"
+                    f"{float(np.min(c[i, i])):.3e} at grid index {tuple(int(v) for v in bad)}"
                 )
-        scale = float(np.max(np.abs(self.c)))
-        asym = float(np.max(np.abs(self.c - np.swapaxes(self.c, 0, 1))))
+        scale = _max_abs(c[i, j] for i, j in np.ndindex(3, 3))
+        asym = _max_abs(c[i, j] - c[j, i] for i, j in _UPPER if i != j)
         if asym > DATASET_REL_TOL * scale:
             raise ConfigError(f"c is not symmetric: max|c - c^T| = {asym:.3e}")
+        return scale
 
-    def _validate_round_trip(self):
-        back = metric_from_frame_matrix(self.f)
-        err = float(np.max(np.abs(back - self.c)))
-        scale = float(np.max(np.abs(self.c)))
+    def _validate_round_trip(self, scale):
+        err = _max_abs(self._round_trip_errors())
         if err > DATASET_REL_TOL * scale:
             raise ConfigError(
                 f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}"
             )
 
-    def kappa_matrix(self):
-        """Full (3, 3) kappa array: diagonal -p_i, upper triangle stored fields."""
-        kap = np.zeros((3, 3) + self.grid.shape)
-        kap[0, 0] = -self.p.p1
-        kap[1, 1] = -self.p.p2
-        kap[2, 2] = -self.p.p3
-        kap[0, 1] = self.kappa12
-        kap[1, 2] = self.kappa23
-        kap[0, 2] = self.kappa13
-        return kap
+    def _round_trip_errors(self):
+        """metric_from_frame_matrix(f) - c, one entry at a time."""
+        for i, j in _UPPER:
+            back = _metric_entry(self.f, i, j)
+            yield back - self.c[i, j]
+            if i != j:
+                yield back - self.c[j, i]
 
     def __repr__(self):
         return f"AsymptoticDataSet(grid={self.grid!r}, eps={self.p.eps:.6g}, seam={self.seam!r})"
@@ -428,6 +442,14 @@ def assemble_dataset(
     kappa formulas.  On periodic grids a SeamReport records the loop-integral
     mismatch of each transport across the x^3 seam.
     """
+    # the transport intermediates die with the helper's frame, before f, h
+    # and the kappa fields are built
+    c, seam = _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice, order)
+    return AsymptoticDataSet(p.grid, p, c, seam=seam)
+
+
+def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice, order):
+    """(c, seam) of assemble_dataset."""
     grid = p.grid
     c22 = _values_on(grid, c22, "c22")
     c33 = _values_on(grid, c33, "c33")
@@ -455,8 +477,7 @@ def assemble_dataset(
             kappa23_jump=np.max(np.abs(_loop_integral_x3(k23_integrand, grid) / mu[:, :, 0])),
             kappa13_jump=np.max(np.abs(_loop_integral_x3(k13_integrand, grid) / mu[:, :, 0])),
         )
-
-    return AsymptoticDataSet(grid, p, c, seam=seam)
+    return c, seam
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +496,8 @@ def momentum_residual(data, i, order=4):
     grid = data.grid
     ii = i - 1
     p = (data.p.p1, data.p.p2, data.p.p3)
-    kap = data.kappa_matrix()
+    # the stored kappa_i^l, l > i; kappa_i^i = -p_i
+    upper = {(0, 1): data.kappa12, (1, 2): data.kappa23, (0, 2): data.kappa13}
     log_v = np.log(data.c[0, 0]) + np.log(data.c[1, 1]) + np.log(data.c[2, 2])
 
     res = np.zeros(grid.shape)
@@ -483,10 +505,11 @@ def momentum_residual(data, i, order=4):
         if l != ii:
             dlog = fd_diff(np.log(data.c[l, l]), i, order, grid.h, grid.mode)
             res += dlog * (p[l] - p[ii])
-        if l >= ii:
-            res += 2.0 * fd_diff(kap[ii, l], l + 1, order, grid.h, grid.mode)
+        if l == ii:
+            res += 2.0 * fd_diff(-p[ii], i, order, grid.h, grid.mode)
         if l > ii:
-            res += fd_diff(log_v, l + 1, order, grid.h, grid.mode) * kap[ii, l]
+            res += 2.0 * fd_diff(upper[ii, l], l + 1, order, grid.h, grid.mode)
+            res += fd_diff(log_v, l + 1, order, grid.h, grid.mode) * upper[ii, l]
     return ScalarField(grid, res)
 
 

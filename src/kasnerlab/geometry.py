@@ -162,24 +162,9 @@ def _d_dt(series, t, order):
     hs = _uniform_spacing(np.log(t), "t_nodes (in log t)")
     if hs is None or hs == 0:
         raise ConfigError("t_nodes must be uniform in t or in log t")
-    return fd_time_diff(series, hs, order) / t.reshape((-1,) + (1,) * (series.ndim - 1))
-
-
-def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
-    """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stored slices.
-
-    t_nodes must be uniform in t or uniform in log t; the time stencil runs
-    in the uniform variable (one-sided rows at the ends).  This never calls
-    the evolution right side: the derivative is measured, not assumed.
-    """
-    e_series = np.asarray(e_series, dtype=float)
-    omega_series = np.asarray(omega_series, dtype=float)
-    t = np.asarray(t_nodes, dtype=float)
-    if np.any(t <= 0):
-        raise ConfigError("slice times must be positive")
-    if e_series.shape[0] != t.size or omega_series.shape[0] != t.size:
-        raise ConfigError("series and t_nodes lengths disagree")
-    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, order))
+    out = fd_time_diff(series, hs, order)
+    out /= t.reshape((-1,) + (1,) * (series.ndim - 1))
+    return out
 
 
 class FrameState:
@@ -312,20 +297,24 @@ def spacetime_ricci(states, order=4):
         raise ConfigError(f"need at least 3 consecutive slices, got {len(states)}")
     grid = states[0].grid
     t = np.array([st.t for st in states])
-    e_series = np.stack([st.e for st in states])
-    omega_series = np.stack([st.omega for st in states])
+    if np.any(t <= 0):
+        raise ConfigError("slice times must be positive")
     time_order = order if len(states) >= 5 else 2
-    kt = second_fundamental_from_frame(e_series, omega_series, t, time_order)
+    # kt[r, I, J] = omega[r, a, J] (d_t e)[r, I, a], written node by node
+    # over d_t e from each state's own coframe
+    kt = _d_dt(np.stack([st.e for st in states]), t, time_order)
+    for r, st in enumerate(states):
+        kt[r] = np.einsum("aj...,ia...->ij...", st.omega, kt[r])
     dkt_dt = _d_dt(kt, t, time_order)
 
     m = t.size
-    r4_ij = np.empty_like(kt)
     r4_00 = np.empty((m,) + grid.shape)
     r4_0i = np.empty((m, 3) + grid.shape)
     for r, st in enumerate(states):
         ricci = spatial_ricci(st.e, st.gamma, grid, order)
         trkt = np.einsum("ii...->...", kt[r])
-        r4_ij[r] = ricci - dkt_dt[r] + trkt * kt[r]
         r4_00[r] = np.einsum("ii...->...", dkt_dt[r]) - np.einsum("ij...,ij...->...", kt[r], kt[r])
+        # r4_ij takes over the d_t kt buffer once r4_00 has read node r
+        dkt_dt[r] = ricci - dkt_dt[r] + trkt * kt[r]
         r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid, order)
-    return SpacetimeRicci(t, r4_ij, r4_00, r4_0i, kt)
+    return SpacetimeRicci(t, dkt_dt, r4_00, r4_0i, kt)

@@ -252,11 +252,13 @@ def build_tower(data, times, n_max):
     """Levels 0..n_max of the tower, with warning-grade envelope checks.
 
     Each level n >= 1 records the fitted decay slope of the per-node sup
-    norm of k[n] - k[n-1] against the predicted -1 + n*eps inside the
-    lowest FIT_DECADES of the time window.  A miss beyond ENVELOPE_SLACK
-    warns and is recorded; the tower is still returned (the predicted
-    envelopes carry unknown constants and windows, so a miss is a report,
-    not a failure).
+    norm of k[n] - k[n-1] against the predicted -1 + n*eps, fitted over the
+    nodes inside the lowest FIT_DECADES of the time window where that norm
+    is positive.  The report's status is "ok", "missed" (beyond
+    ENVELOPE_SLACK; this also warns) or "not checked" (too few positive
+    nodes, or too short a span, for fit_decay_rate).  The tower is returned
+    either way: the predicted envelopes carry unknown constants and windows,
+    so a miss is a report, not a failure.
     """
     if not 0 <= n_max <= MAX_TOWER_LEVEL:
         raise ConfigError(f"n_max must be in 0..{MAX_TOWER_LEVEL}, got {n_max}")
@@ -270,12 +272,18 @@ def build_tower(data, times, n_max):
         level = IterateSet(n, data, times, e_n, k_n, asym_norms)
         diff = np.array([np.abs(k_r - prev_r).max() for k_r, prev_r in zip(k_n, prev.k)])
         predicted = -1.0 + n * eps
-        # exactly-zero differences (fixed point) leave nothing to fit
-        report = dict(level=n, quantity="k_diff_sup", predicted=predicted, fitted=None, r2=None, ok=True)
-        if np.all(diff[mask] > 0):
-            slope, _, r2 = fit_decay_rate(times.times[mask], diff[mask])
-            report.update(fitted=slope, r2=r2, ok=abs(slope - predicted) <= ENVELOPE_SLACK)
-            if not report["ok"]:
+        report = dict(level=n, quantity="k_diff_sup", predicted=predicted, fitted=None, r2=None)
+        # exactly-zero differences (the fixed point, or node 0 where the tail
+        # closure dropped every component) leave no power law to fit there
+        fit = mask & (diff > 0)
+        try:
+            slope, _, r2 = fit_decay_rate(times.times[fit], diff[fit])
+        except ConfigError:
+            report["status"] = "not checked"
+        else:
+            ok = abs(slope - predicted) <= ENVELOPE_SLACK
+            report.update(fitted=slope, r2=r2, status="ok" if ok else "missed")
+            if not ok:
                 warnings.warn(
                     f"tower level {n}: k-difference slope {slope:.3f} outside "
                     f"{predicted:.3f} +- {ENVELOPE_SLACK}",

@@ -8,7 +8,9 @@ inputs that the library itself never needs.
 The `*_reference` kernels are the plain formulas the optimised library
 kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
-spatial Ricci).  The library itself never imports this module.
+spatial Ricci).  second_fundamental_from_frame is the whole-series k_tilde
+that spacetime_ricci_reference builds on.  The library itself never
+imports this module.
 """
 
 from unittest import mock
@@ -16,9 +18,9 @@ from unittest import mock
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.asymdata import AsymptoticDataSet, KasnerExponents
+from kasnerlab.asymdata import DATASET_REL_TOL, AsymptoticDataSet, KasnerExponents
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
-from kasnerlab.geometry import coframe_from_frame
+from kasnerlab.geometry import _d_dt, _momentum_core, coframe_from_frame, spatial_ricci
 from kasnerlab.grids import LOCALIZED, fd_diff
 from kasnerlab.iteration import (
     CONTRACTION_LIMIT,
@@ -68,6 +70,45 @@ def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     c[i - 1, j - 1] = c[i - 1, j - 1] + bump
     c[j - 1, i - 1] = c[i - 1, j - 1]
     return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
+
+
+def metric_check_reference(c):
+    """AsymptoticDataSet's finiteness, positivity and symmetry checks on c
+    by whole-array formulas, with the same error texts; returns max|c|."""
+    if not np.all(np.isfinite(c)):
+        raise ConfigError("c contains non-finite entries")
+    for i in range(3):
+        if np.any(c[i, i] <= 0.0):
+            bad = np.unravel_index(int(np.argmin(c[i, i])), c.shape[2:])
+            raise ConfigError(
+                f"c{i + 1}{i + 1} must be positive; min = "
+                f"{float(np.min(c[i, i])):.3e} at grid index {tuple(int(v) for v in bad)}"
+            )
+    scale = float(np.max(np.abs(c)))
+    asym = float(np.max(np.abs(c - np.swapaxes(c, 0, 1))))
+    if asym > DATASET_REL_TOL * scale:
+        raise ConfigError(f"c is not symmetric: max|c - c^T| = {asym:.3e}")
+    return scale
+
+
+def metric_from_frame_reference(f):
+    """c from the upper-triangular frame coefficients, all entries at once."""
+    c = np.zeros_like(f)
+    c[0, 0] = f[0, 0] ** -2.0
+    c[1, 1] = f[1, 1] ** -2.0
+    c[2, 2] = f[2, 2] ** -2.0
+    c[0, 1] = c[1, 0] = -f[0, 1] / (f[0, 0] * f[1, 1] ** 2)
+    c[1, 2] = c[2, 1] = -f[1, 2] / (f[1, 1] * f[2, 2] ** 2)
+    c[0, 2] = c[2, 0] = (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2] ** 2)
+    return c
+
+
+def round_trip_reference(f, c, scale):
+    """AsymptoticDataSet's c -> f -> c round-trip check by whole-array
+    formulas, with the same error text."""
+    err = float(np.max(np.abs(metric_from_frame_reference(f) - c)))
+    if err > DATASET_REL_TOL * scale:
+        raise ConfigError(f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}")
 
 
 def christoffel_from_metric(g, h, order=4, mode="periodic"):
@@ -295,6 +336,42 @@ ONESIDED_ROWS = {
 }
 
 
+def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
+    """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stacked slices,
+    the time stencil in t or in log t (whichever is uniform).  The measured
+    second fundamental form: no evolution right side enters."""
+    e_series = np.asarray(e_series, dtype=float)
+    omega_series = np.asarray(omega_series, dtype=float)
+    t = np.asarray(t_nodes, dtype=float)
+    if np.any(t <= 0):
+        raise ConfigError("slice times must be positive")
+    if e_series.shape[0] != t.size or omega_series.shape[0] != t.size:
+        raise ConfigError("series and t_nodes lengths disagree")
+    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, order))
+
+
+def spacetime_ricci_reference(states, order=4):
+    """(r4_ij, r4_00, r4_0i, k_tilde) of geometry.spacetime_ricci by
+    whole-series formulas: stacked e and omega series, k_tilde and its time
+    derivative formed whole, r4_ij in its own array."""
+    grid = states[0].grid
+    t = np.array([st.t for st in states])
+    time_order = order if len(states) >= 5 else 2
+    kt = second_fundamental_from_frame(
+        np.stack([st.e for st in states]), np.stack([st.omega for st in states]), t, time_order
+    )
+    dkt_dt = _d_dt(kt, t, time_order)
+    r4_ij = np.empty_like(kt)
+    r4_00 = np.empty((t.size,) + grid.shape)
+    r4_0i = np.empty((t.size, 3) + grid.shape)
+    for r, st in enumerate(states):
+        trkt = np.einsum("ii...->...", kt[r])
+        r4_ij[r] = spatial_ricci(st.e, st.gamma, grid, order) - dkt_dt[r] + trkt * kt[r]
+        r4_00[r] = np.einsum("ii...->...", dkt_dt[r]) - np.einsum("ij...,ij...->...", kt[r], kt[r])
+        r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid, order)
+    return r4_ij, r4_00, r4_0i, kt
+
+
 def _onesided_faces(df, values, axis, order, h):
     """Overwrite the face slabs of a centered derivative with one-sided rows."""
     n = values.shape[axis]
@@ -460,7 +537,8 @@ def tower_reference(data, times, n_max):
     """Tower levels 1..n_max by the seed's whole-series formulas.
 
     Returns one (e, omega, k, asym_norms, fitted_slope) tuple per level;
-    fitted_slope is None where the k-difference has zeros in the fit window.
+    fitted_slope is None where the fit window has too few positive
+    k-differences to fit.
     """
     t_col = times.times.reshape((-1, 1, 1, 1, 1, 1))
     pv = data.p.as_array()
@@ -507,7 +585,11 @@ def tower_reference(data, times, n_max):
                 raise SingularFrameError(f"tower level {n} at t={t:.6e}: {err}") from err
 
         diff = np.abs(k_n - previous.k).reshape(times.n_steps, -1).max(axis=1)
-        slope = fit_decay_rate(times.times[mask], diff[mask])[0] if np.all(diff[mask] > 0) else None
+        # the fit runs on the window's positive nodes when there are at
+        # least 6 of them spanning 1.5 decades
+        t_fit, diff_fit = times.times[mask & (diff > 0)], diff[mask & (diff > 0)]
+        checked = t_fit.size >= 6 and t_fit[-1] / t_fit[0] >= 10.0**1.5
+        slope = fit_decay_rate(t_fit, diff_fit)[0] if checked else None
         out.append((e_n, omega, k_n, asym_norms, slope))
         previous = IterateSet(n, data, times, e_n, k_n, asym_norms)
     return out

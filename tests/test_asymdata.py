@@ -8,11 +8,13 @@ the oracle is a measured convergence ratio.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from kasnerlab import asymdata
 from kasnerlab.asymdata import (
     AsymptoticDataSet,
     KasnerExponents,
@@ -39,9 +41,11 @@ from kasnerlab.families import (
 from kasnerlab.grids import ScalarField, SpatialGrid
 
 from oracles import (
+    metric_check_reference,
     ode_reference,
     perturb_offdiagonal,
     quad_cumulative,
+    round_trip_reference,
     seam_reference,
     sympy_residual_gaps,
     unchecked_exponents,
@@ -502,6 +506,115 @@ class TestAssembleDataset:
         c[0, 1] += 1e-3
         with pytest.raises(ConfigError):
             AsymptoticDataSet(grid, ds.p, c)
+
+
+def _set(c, i, j, value, point=(1, 2, 3)):
+    c[(i, j) + point] = value
+
+
+class TestDataSetValidation:
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: _set(c, 1, 2, np.nan),
+            lambda c: _set(c, 0, 2, -np.inf),
+            lambda c: _set(c, 1, 1, -0.5),
+            lambda c: _set(c, 2, 2, 0.0),
+            lambda c: _set(c, 0, 2, c[(0, 2, 1, 2, 3)] + 1e-3),
+            lambda c: _set(c, 2, 1, c[(2, 1, 1, 2, 3)] - 1e-3),
+        ],
+        ids=["nan", "inf", "negative_c22", "zero_c33", "asymmetric_c13", "asymmetric_c32"],
+    )
+    def test_error_text_matches_whole_array_checks(self, tamper):
+        grid = small_grid(8)
+        ds = random_dataset(grid, seed=2)
+        c = ds.c.copy()
+        tamper(c)
+        with pytest.raises(ConfigError) as want:
+            metric_check_reference(c)
+        with pytest.raises(ConfigError) as got:
+            AsymptoticDataSet(grid, ds.p, c)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
+    def test_round_trip_error_text_matches_whole_array_check(self, monkeypatch, entry):
+        grid = small_grid(8)
+        ds = random_dataset(grid, seed=2)
+        frame = asymdata.frame_matrix_from_metric
+
+        def skewed_frame(c):
+            f = frame(c)
+            f[entry + (1, 2, 3)] *= 1.01
+            return f
+
+        monkeypatch.setattr(asymdata, "frame_matrix_from_metric", skewed_frame)
+        with pytest.raises(ConfigError) as want:
+            round_trip_reference(skewed_frame(ds.c), ds.c, metric_check_reference(ds.c))
+        with pytest.raises(ConfigError, match="^metric/frame round trip failed") as got:
+            AsymptoticDataSet(grid, ds.p, ds.c)
+        assert str(got.value) == str(want.value)
+
+    def test_round_trip_reads_both_mirrored_entries(self, monkeypatch):
+        # c13 - c31 = 0.6 of the tolerance passes the symmetry check; a frame
+        # entry moved to put c(f)_13 0.6 of the tolerance above c13 leaves
+        # c(f)_13 - c31 at 1.2 of it, so only the mirrored entry fails
+        grid = small_grid(8)
+        ds = random_dataset(grid, seed=2)
+        point = (1, 2, 3)
+        shift = 0.6 * asymdata.DATASET_REL_TOL * metric_check_reference(ds.c)
+        c = ds.c.copy()
+        c[(2, 0) + point] -= shift
+        frame = asymdata.frame_matrix_from_metric
+
+        def shifted_frame(c):
+            f = frame(c)
+            f[(0, 2) + point] -= shift * f[(0, 0) + point] * f[(2, 2) + point] ** 2
+            return f
+
+        monkeypatch.setattr(asymdata, "frame_matrix_from_metric", shifted_frame)
+        with pytest.raises(ConfigError) as want:
+            round_trip_reference(shifted_frame(c), c, metric_check_reference(c))
+        with pytest.raises(ConfigError, match="^metric/frame round trip failed") as got:
+            AsymptoticDataSet(grid, ds.p, c)
+        assert str(got.value) == str(want.value)
+
+
+def _working_fields(call, grid):
+    """Traced peak of call() beyond what it returns, in grid fields."""
+    tracemalloc.start()
+    try:
+        out = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return (peak - current) / np.zeros(grid.shape).nbytes
+
+
+class TestDataStageMemory:
+    # every temporary of the data stage is one grid field: beyond what a call
+    # returns it holds a few of them (measured 5.0 to 6.1 at n = 12), never a
+    # whole (3, 3) matrix of 9 fields
+    WHOLE_MATRIX = 9.0
+
+    def test_assembly_holds_no_whole_matrix_temporary(self):
+        grid = small_grid(12)
+        u = u_wave_profile(grid)
+        p = exponents_from_u(ScalarField(grid, u))
+        c22 = np.broadcast_to(np.exp(0.3 * np.sin(grid.mesh(3))), grid.shape).copy()
+        c33 = u_wave_c33(u)
+        assert _working_fields(lambda: assemble_dataset(p, c22, c33), grid) < self.WHOLE_MATRIX
+
+    def test_validation_holds_no_whole_matrix_temporary(self):
+        grid = small_grid(12)
+        ds = random_dataset(grid, seed=0)
+        assert _working_fields(lambda: AsymptoticDataSet(grid, ds.p, ds.c), grid) < self.WHOLE_MATRIX
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_momentum_residual_holds_no_kappa_matrix(self, i):
+        grid = small_grid(12)
+        ds = random_dataset(grid, seed=0)
+        assert _working_fields(lambda: momentum_residual(ds, i), grid) < self.WHOLE_MATRIX
 
 
 class TestUWaveClosedForm:

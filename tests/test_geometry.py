@@ -7,6 +7,8 @@ computation. Bounds marked [measured] were frozen from refinement studies
 (values quoted in comments) and sit 2-5x above the observed level.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -22,7 +24,6 @@ from kasnerlab.geometry import (
     gamma_from_frame,
     hamiltonian_residual,
     momentum_residual_evolved,
-    second_fundamental_from_frame,
     spacetime_ricci,
     spatial_ricci,
     torsion_residual,
@@ -37,6 +38,8 @@ from oracles import (
     metric_from_coframe,
     momentum_coordinate_oracle,
     ricci_coordinate_oracle,
+    second_fundamental_from_frame,
+    spacetime_ricci_reference,
     spatial_ricci_reference,
 )
 
@@ -545,6 +548,35 @@ class TestSpacetimeRicci:
             ham = np.einsum("ii...->...", ricci) - np.einsum("ij...,ij...->...", kt, kt) + trkt**2
             want = ham - np.einsum("ii...->...", r4.r4_ij[r])
             assert np.max(np.abs(r4.r4_00[r] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [4, 41])
+    def test_matches_whole_series_formulas_bitwise(self, m):
+        grid = SpatialGrid(DELTA, 8)
+        level = zeroth_iterate(random_dataset(grid, seed=0), LogTimeGrid(1e-4, 1e-1, m))
+        t = level.times.times
+        states = [FrameState.from_frame(grid, level.e[r], level.k[r], t[r]) for r in range(t.size)]
+        r4 = spacetime_ricci(states)
+        got = (r4.r4_ij, r4.r4_00, r4.r4_0i, r4.k_tilde)
+        for field, want in zip(got, spacetime_ricci_reference(states)):
+            assert field.tobytes() == want.tobytes()
+
+    def test_working_memory_is_three_series(self):
+        # beyond its inputs, the first time derivative holds the stacked
+        # frame series, the stencil's output (which becomes k_tilde) and the
+        # stencil's one shift-difference temporary: three series.  The
+        # outputs (k_tilde, r4_ij in the d_t k_tilde buffer, r4_00, r4_0i)
+        # are 2.44 series; the whole-series formulas peak at 5.68
+        grid = SpatialGrid(DELTA, 8)
+        level = zeroth_iterate(random_dataset(grid, seed=0), LogTimeGrid(1e-4, 1e-1, 41))
+        t = level.times.times
+        states = [FrameState.from_frame(grid, level.e[r], level.k[r], t[r]) for r in range(t.size)]
+        tracemalloc.start()
+        try:
+            spacetime_ricci(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * level.e.nbytes
 
     def test_component_shapes(self):
         grid = SpatialGrid(DELTA, 8)

@@ -43,6 +43,7 @@ class TestHomogeneousTower:
             # (measured 3e-16 relative)
             assert np.all(np.abs(lv.omega - base.omega) <= 1e-15 * np.abs(base.omega))
             assert lv.envelope_report[0]["fitted"] is None
+            assert lv.envelope_report[0]["status"] == "not checked"
 
 
 class TestTowerMatchesWholeSeriesFormulas:
@@ -143,6 +144,23 @@ class TestTowerMemory:
             tracemalloc.stop()
         series = levels[0].e.nbytes
         assert peak <= (2 * len(levels) + 1.25) * series
+
+
+class TestEnvelopeReport:
+    def test_u_wave_fits_inside_the_slack(self):
+        levels = build_tower(u_wave_dataset(SpatialGrid(DELTA, 8)), time_grid(), 2)
+        assert [lv.envelope_report[0]["status"] for lv in levels[1:]] == ["ok", "ok"]
+
+    def test_layered_fit_runs_on_the_positive_nodes_and_misses(self):
+        # the tail closure leaves k[n] - k[n-1] exactly 0.0 at node 0; the
+        # other nodes grow with t (fitted slopes near +2 against -0.86, -0.71)
+        data = layered_dataset(SpatialGrid(DELTA, 8))
+        with pytest.warns(UserWarning, match="k-difference slope"):
+            levels = build_tower(data, time_grid(), 2)
+        for lv in levels[1:]:
+            report = lv.envelope_report[0]
+            assert report["status"] == "missed"
+            assert report["fitted"] > 1.5
 
 
 class TestFitDecayRate:
