@@ -280,7 +280,7 @@ class AsymptoticDataSet:
 
     def _validate_round_trip(self, scale):
         err = _max_abs(self._round_trip_errors())
-        if err > DATASET_REL_TOL * scale:
+        if not err <= DATASET_REL_TOL * scale:
             raise ConfigError(
                 f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}"
             )
@@ -307,11 +307,6 @@ def _cumint_x3(integrand, grid):
     return cumulative_simpson(integrand, dx=grid.h, axis=-1, initial=0.0)
 
 
-def _loop_integral_x3(integrand, grid):
-    """Integral over one full x^3 period; all points carry equal weight."""
-    return grid.h * np.sum(integrand, axis=-1)
-
-
 def _check_gaps(p):
     if np.min(p.p3 - p.p2) < DEGENERACY_FLOOR or np.min(p.p3 - p.p1) < DEGENERACY_FLOOR:
         raise DegenerateExponentsError("exponent gaps too small for the transport solves")
@@ -328,29 +323,38 @@ def _positive_diagonal(grid, **fields):
     return arrays
 
 
-def _c11_transport(p, c22, c11_slice, order):
-    """c11 and the x^3 integrand of its logarithm (see solve_c11)."""
+def _seam_jump(integrand, grid, mu=None):
+    """max over (x^1, x^2) of the integral of an x^3 transport's integrand
+    over one full period (all points carry equal weight), divided by the
+    integrating factor mu at the slice if given: the jump the solution makes
+    across the x^3 seam of a periodic grid.  None on a localized grid, which
+    has no seam."""
+    if grid.mode != PERIODIC:
+        return None
+    loop = grid.h * np.sum(integrand, axis=-1)
+    return np.max(np.abs(loop if mu is None else loop / mu[:, :, 0]))
+
+
+def solve_c11(p, c22, c11_slice=None):
+    """Integrate the x^3-direction constraint for c11.
+
+    log c11(x) = log c11(x^1, x^2, 0)
+                 - int_0^{x^3} [ (p3-p2)/(p3-p1) D_3 log c22 + 2 D_3 p3 / (p3-p1) ] ds
+
+    The slice at x^3 = 0 defaults to 1.  Positive c22 is required.  Returns
+    (c11, seam_jump), seam_jump the loop-integral mismatch of log c11 across
+    the x^3 seam (None on a localized grid).
+    """
     grid = p.grid
     _check_gaps(p)
     (c22,) = _positive_diagonal(grid, c22=c22)
     lc0 = np.log(_slice_on(grid, c11_slice, "c11_slice", default=1.0))
     if not np.all(np.isfinite(lc0)):
         raise ConfigError("c11_slice must be positive everywhere")
-    dl22 = fd_diff(np.log(c22), 3, order, grid.h, grid.mode)
-    dp3 = fd_diff(p.p3, 3, order, grid.h, grid.mode)
+    dl22 = fd_diff(np.log(c22), 3, grid)
+    dp3 = fd_diff(p.p3, 3, grid)
     integrand = ((p.p3 - p.p2) * dl22 + 2.0 * dp3) / (p.p3 - p.p1)
-    return np.exp(lc0 - _cumint_x3(integrand, grid)), integrand
-
-
-def solve_c11(p, c22, c11_slice=None, order=4):
-    """Integrate the x^3-direction constraint for c11.
-
-    log c11(x) = log c11(x^1, x^2, 0)
-                 - int_0^{x^3} [ (p3-p2)/(p3-p1) D_3 log c22 + 2 D_3 p3 / (p3-p1) ] ds
-
-    The slice at x^3 = 0 defaults to 1.  Positive c22 is required.
-    """
-    return _c11_transport(p, c22, c11_slice, order)[0]
+    return np.exp(lc0 - _cumint_x3(integrand, grid)), _seam_jump(integrand, grid)
 
 
 def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
@@ -358,7 +362,7 @@ def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
 
     kappa = [mu(0) kappa(0) + int_0^{x^3} mu * rhs] / mu with mu = sqrt(V),
     V = c11 c22 c33, and the right side rhs(log c11, log c22, log c33, log V).
-    Returns kappa, the integrand mu * rhs and mu.
+    Returns kappa and its seam jump, normalized by mu at the slice.
     """
     grid = p.grid
     _check_gaps(p)
@@ -367,51 +371,33 @@ def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
     log_v = logs[0] + logs[1] + logs[2]
     mu = np.exp(0.5 * log_v)
     integrand = mu * rhs(*logs, log_v)
-    return (mu[:, :, :1] * kap0 + _cumint_x3(integrand, grid)) / mu, integrand, mu
+    kappa = (mu[:, :, :1] * kap0 + _cumint_x3(integrand, grid)) / mu
+    return kappa, _seam_jump(integrand, grid, mu)
 
 
-def _kappa23_transport(p, c11, c22, c33, kappa23_slice, order):
-    grid = p.grid
-
-    def rhs(log_c11, log_c22, log_c33, log_v):
-        return (
-            0.5 * (p.p2 - p.p1) * fd_diff(log_c11, 2, order, grid.h, grid.mode)
-            + 0.5 * (p.p2 - p.p3) * fd_diff(log_c33, 2, order, grid.h, grid.mode)
-            + fd_diff(p.p2, 2, order, grid.h, grid.mode)
-        )
-
-    return _kappa_transport(p, c11, c22, c33, kappa23_slice, "kappa23_slice", rhs)
-
-
-def solve_kappa23(p, c11, c22, c33, kappa23_slice=None, order=4):
+def solve_kappa23(p, c11, c22, c33, kappa23_slice=None):
     """Integrating-factor transport for kappa_2^3 along x^3.
 
       D_3 kappa_2^3 + (1/2)(D_3 log V) kappa_2^3
         = (1/2)(p2-p1) D_2 log c11 + (1/2)(p2-p3) D_2 log c33 + D_2 p2
 
     solved as kappa = [mu(0) kappa(0) + int_0^{x^3} mu * rhs] / mu with
-    mu = sqrt(V), V = c11 c22 c33.  Slice defaults to 0.
+    mu = sqrt(V), V = c11 c22 c33.  Slice defaults to 0.  Returns
+    (kappa_2^3, seam_jump) as solve_c11 does.
     """
-    return _kappa23_transport(p, c11, c22, c33, kappa23_slice, order)[0]
-
-
-def _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order):
     grid = p.grid
-    kappa12 = _values_on(grid, kappa12, "kappa12")
 
     def rhs(log_c11, log_c22, log_c33, log_v):
-        return 0.5 * (
-            (p.p1 - p.p2) * fd_diff(log_c22, 1, order, grid.h, grid.mode)
-            + (p.p1 - p.p3) * fd_diff(log_c33, 1, order, grid.h, grid.mode)
-            + 2.0 * fd_diff(p.p1, 1, order, grid.h, grid.mode)
-            - 2.0 * fd_diff(kappa12, 2, order, grid.h, grid.mode)
-            - kappa12 * fd_diff(log_v, 2, order, grid.h, grid.mode)
+        return (
+            0.5 * (p.p2 - p.p1) * fd_diff(log_c11, 2, grid)
+            + 0.5 * (p.p2 - p.p3) * fd_diff(log_c33, 2, grid)
+            + fd_diff(p.p2, 2, grid)
         )
 
-    return _kappa_transport(p, c11, c22, c33, kappa13_slice, "kappa13_slice", rhs)
+    return _kappa_transport(p, c11, c22, c33, kappa23_slice, "kappa23_slice", rhs)
 
 
-def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None, order=4):
+def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None):
     """Integrating-factor transport for kappa_1^3 along x^3.
 
       D_3 kappa_1^3 + (1/2)(D_3 log V) kappa_1^3
@@ -419,8 +405,21 @@ def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None, order=4):
                   - 2 D_2 kappa_1^2 - kappa_1^2 D_2 log V ]
 
     with the same integrating factor mu = sqrt(V) as the kappa_2^3 solve.
+    Returns (kappa_1^3, seam_jump) as solve_c11 does.
     """
-    return _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order)[0]
+    grid = p.grid
+    kappa12 = _values_on(grid, kappa12, "kappa12")
+
+    def rhs(log_c11, log_c22, log_c33, log_v):
+        return 0.5 * (
+            (p.p1 - p.p2) * fd_diff(log_c22, 1, grid)
+            + (p.p1 - p.p3) * fd_diff(log_c33, 1, grid)
+            + 2.0 * fd_diff(p.p1, 1, grid)
+            - 2.0 * fd_diff(kappa12, 2, grid)
+            - kappa12 * fd_diff(log_v, 2, grid)
+        )
+
+    return _kappa_transport(p, c11, c22, c33, kappa13_slice, "kappa13_slice", rhs)
 
 
 def assemble_dataset(
@@ -431,7 +430,6 @@ def assemble_dataset(
     c11_slice=None,
     kappa23_slice=None,
     kappa13_slice=None,
-    order=4,
 ):
     """Full data set from the free inputs of the constraint existence argument.
 
@@ -444,20 +442,20 @@ def assemble_dataset(
     """
     # the transport intermediates die with the helper's frame, before f, h
     # and the kappa fields are built
-    c, seam = _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice, order)
+    c, seam = _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice)
     return AsymptoticDataSet(p.grid, p, c, seam=seam)
 
 
-def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice, order):
+def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice):
     """(c, seam) of assemble_dataset."""
     grid = p.grid
     c22 = _values_on(grid, c22, "c22")
     c33 = _values_on(grid, c33, "c33")
     kappa12 = _values_on(grid, kappa12, "kappa12")
 
-    c11, c11_integrand = _c11_transport(p, c22, c11_slice, order)
-    k23, k23_integrand, mu = _kappa23_transport(p, c11, c22, c33, kappa23_slice, order)
-    k13, k13_integrand, _ = _kappa13_transport(p, c11, c22, c33, kappa12, kappa13_slice, order)
+    c11, c11_jump = solve_c11(p, c22, c11_slice)
+    k23, k23_jump = solve_kappa23(p, c11, c22, c33, kappa23_slice)
+    k13, k13_jump = solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice)
 
     c12 = kappa12 * c22 / (p.p1 - p.p2)
     c23 = k23 * c33 / (p.p2 - p.p3)
@@ -469,14 +467,7 @@ def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_
     c[1, 2] = c[2, 1] = c23
     c[0, 2] = c[2, 0] = c13
 
-    seam = None
-    if grid.mode == PERIODIC:
-        # the integrands the transports integrated, over one full period
-        seam = SeamReport(
-            c11_jump=np.max(np.abs(_loop_integral_x3(c11_integrand, grid))),
-            kappa23_jump=np.max(np.abs(_loop_integral_x3(k23_integrand, grid) / mu[:, :, 0])),
-            kappa13_jump=np.max(np.abs(_loop_integral_x3(k13_integrand, grid) / mu[:, :, 0])),
-        )
+    seam = None if c11_jump is None else SeamReport(c11_jump, k23_jump, k13_jump)
     return c, seam
 
 
@@ -485,7 +476,7 @@ def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_
 # ---------------------------------------------------------------------------
 
 
-def momentum_residual(data, i, order=4):
+def momentum_residual(data, i):
     """Metric-form differential constraint residual in direction x^i (1-based).
 
     Vanishes (to quadrature/FD error) exactly when the data satisfy the
@@ -503,17 +494,17 @@ def momentum_residual(data, i, order=4):
     res = np.zeros(grid.shape)
     for l in range(3):
         if l != ii:
-            dlog = fd_diff(np.log(data.c[l, l]), i, order, grid.h, grid.mode)
+            dlog = fd_diff(np.log(data.c[l, l]), i, grid)
             res += dlog * (p[l] - p[ii])
         if l == ii:
-            res += 2.0 * fd_diff(-p[ii], i, order, grid.h, grid.mode)
+            res += 2.0 * fd_diff(-p[ii], i, grid)
         if l > ii:
-            res += 2.0 * fd_diff(upper[ii, l], l + 1, order, grid.h, grid.mode)
-            res += fd_diff(log_v, l + 1, order, grid.h, grid.mode) * upper[ii, l]
+            res += 2.0 * fd_diff(upper[ii, l], l + 1, grid)
+            res += fd_diff(log_v, l + 1, grid) * upper[ii, l]
     return ScalarField(grid, res)
 
 
-def frame_momentum_residual(data, big_i, order=4):
+def frame_momentum_residual(data, big_i):
     """Frame-form differential constraint residual for frame row I (1-based).
 
     frame_I = E_I p_I + sum_J (p_J - p_I) E_I log f_JJ
@@ -532,7 +523,7 @@ def frame_momentum_residual(data, big_i, order=4):
     def ee(row, arr):
         out = np.zeros(grid.shape)
         for a in range(row, 3):
-            out += f[row, a] * fd_diff(arr, a + 1, order, grid.h, grid.mode)
+            out += f[row, a] * fd_diff(arr, a + 1, grid)
         return out
 
     res = ee(bi, p[bi])

@@ -50,7 +50,7 @@ def u_wave_profile(grid, u0=2.0, u_amp=0.1):
     return np.broadcast_to(u, grid.shape).copy()
 
 
-def u_wave_dataset(grid, u0=2.0, u_amp=0.1, c22_amp=0.3, order=4):
+def u_wave_dataset(grid, u0=2.0, u_amp=0.1, c22_amp=0.3):
     """Constraint-satisfying inhomogeneous family.
 
     u = u0 + u_amp sin(2 pi x^1/delta), c22 = exp(c22_amp sin(2 pi x^3/delta)),
@@ -63,7 +63,7 @@ def u_wave_dataset(grid, u0=2.0, u_amp=0.1, c22_amp=0.3, order=4):
     x3 = grid.mesh(3)
     c22 = np.broadcast_to(np.exp(c22_amp * np.sin(2.0 * np.pi * x3 / grid.delta)), grid.shape).copy()
     c33 = u_wave_c33(u)
-    return assemble_dataset(p, c22, c33, kappa12=0.0, order=order)
+    return assemble_dataset(p, c22, c33, kappa12=0.0)
 
 
 def homogeneous_dataset(grid, u0=2.0):

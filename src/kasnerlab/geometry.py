@@ -9,8 +9,8 @@ constraint residuals below never read them from the evolution right side,
 so they stay usable as independent health checks of a run.
 
 Time derivatives are taken from stored slices through one dispatch, _d_dt:
-series are sampled either uniformly in t or uniformly in log t, and the time
-stencil is applied in the matching variable.
+series are sampled uniformly in log t, as on a LogTimeGrid, and the time
+stencil is applied in s = log t.
 """
 
 import numpy as np
@@ -20,10 +20,6 @@ from .grids import ScalarField, TensorField, fd_diff, fd_time_diff
 
 IDENTITY_TOL = 1e-10
 SINGULAR_FLOOR = 1e-14
-
-
-def _grid_fd(grid, values, axis, order):
-    return fd_diff(values, axis, order, grid.h, grid.mode)
 
 
 def _cofactor(e, i, j):
@@ -42,7 +38,8 @@ def frame_determinant(e):
     # overestimate the scale by many orders and flag healthy frames
     hadamard = np.prod(np.max(np.abs(e), axis=1), axis=0)
     floor = SINGULAR_FLOOR * np.maximum(hadamard, SINGULAR_FLOOR)
-    bad = np.abs(det) < floor
+    # NaN-safe: a NaN determinant or floor fails the comparison and is bad
+    bad = ~(floor <= np.abs(det))
     if np.any(bad):
         ratio = np.abs(det) / np.maximum(floor, SINGULAR_FLOOR**2)
         loc = np.unravel_index(np.argmin(ratio), det.shape)
@@ -72,11 +69,11 @@ def coframe_from_frame(e):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _structure_functions(e, omega, grid, order):
+def _structure_functions(e, omega, grid):
     """W[p, X] = omega[a, X] comm_p^a over the pairs p = (I, J) of _PAIRS, with
     comm_p^a = e_I(e[J, a]) - e_J(e[I, a]): the 9 independent frame commutator
     coefficients w[I, J, X] (w[J, I, X] = -w[I, J, X], w[I, I, X] = 0)."""
-    de = [_grid_fd(grid, e, ax, order) for ax in (1, 2, 3)]
+    de = [fd_diff(e, ax, grid) for ax in (1, 2, 3)]
     comm = np.empty((3,) + e.shape[1:])
     for p, (i, j) in enumerate(_PAIRS):
         e_i_of_e_j = e[i, 0] * de[0][j] + e[i, 1] * de[1][j] + e[i, 2] * de[2][j]
@@ -85,7 +82,7 @@ def _structure_functions(e, omega, grid, order):
     return np.einsum("pa...,ax...->px...", comm, omega)
 
 
-def gamma_from_frame(e, omega, grid, order=4):
+def gamma_from_frame(e, omega, grid):
     """Levi-Civita connection coefficients of the frame from its commutator
     coefficients w: gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]).
 
@@ -94,7 +91,7 @@ def gamma_from_frame(e, omega, grid, order=4):
     mirrored slots are their exact negations and the diagonal J = B is +0.0,
     so the (J, B) antisymmetry is exact in floating point.
     """
-    w = _structure_functions(e, omega, grid, order)
+    w = _structure_functions(e, omega, grid)
 
     def w_at(i, j, x):  # i != j
         return w[_PAIRS.index((i, j)), x] if i < j else -w[_PAIRS.index((j, i)), x]
@@ -110,7 +107,7 @@ def gamma_from_frame(e, omega, grid, order=4):
     return gamma
 
 
-def spatial_ricci(e, gamma, grid, order=4):
+def spatial_ricci(e, gamma, grid):
     """Slice Ricci in frame components:
 
       R[I, J] = e_C gamma[I, J, C] - e_I (sum_C gamma[C, J, C])
@@ -126,7 +123,7 @@ def spatial_ricci(e, gamma, grid, order=4):
     e_J(gamma[I, J, C]) from R[I, C]; sum_C gamma[C, J, C] = -v[J] reuses them.
     """
     upper = np.stack([gamma[:, j, c] for j, c in _PAIRS], axis=1)
-    d = [_grid_fd(grid, upper, ax, order) for ax in (1, 2, 3)]
+    d = [fd_diff(upper, ax, grid) for ax in (1, 2, 3)]
     r = np.zeros((3, 3) + e.shape[2:])
     for b, db in enumerate(d):
         for p, (j, c) in enumerate(_PAIRS):
@@ -141,27 +138,18 @@ def spatial_ricci(e, gamma, grid, order=4):
     return r
 
 
-def _uniform_spacing(x, what):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ConfigError(f"{what} must be a 1-d array of at least 2 values")
-    steps = np.diff(x)
-    if np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
-        return float(steps[0])
-    return None
-
-
 def _d_dt(series, t, order):
-    """d/dt along the leading axis of a series sampled at the nodes t, by the
-    time stencil in t when t is uniform and in log t when log t is."""
-    dt = _uniform_spacing(t, "t_nodes")
-    if dt is not None:
-        if dt == 0:
-            raise ConfigError("time spacing is zero")
-        return fd_time_diff(series, dt, order)
-    hs = _uniform_spacing(np.log(t), "t_nodes (in log t)")
-    if hs is None or hs == 0:
-        raise ConfigError("t_nodes must be uniform in t or in log t")
+    """d/dt along the leading axis of a series sampled at positive nodes t
+    uniform in log t: the time stencil of `order` in s = log t, then
+    d/dt = (1/t) d/ds."""
+    if np.any(t <= 0):
+        raise ConfigError("slice times must be positive")
+    steps = np.diff(np.log(t))
+    hs = float(steps[0])
+    if hs == 0:
+        raise ConfigError("time spacing is zero")
+    if not np.max(np.abs(steps - hs)) <= 1e-9 * abs(hs):
+        raise ConfigError("t_nodes must be uniform in log t")
     out = fd_time_diff(series, hs, order)
     out /= t.reshape((-1,) + (1,) * (series.ndim - 1))
     return out
@@ -182,9 +170,9 @@ class FrameState:
             self._validate()
 
     @classmethod
-    def from_frame(cls, grid, e, k, t, order=4):
+    def from_frame(cls, grid, e, k, t):
         omega = coframe_from_frame(e)
-        gamma = gamma_from_frame(np.asarray(e, dtype=float), omega, grid, order)
+        gamma = gamma_from_frame(np.asarray(e, dtype=float), omega, grid)
         return cls(grid, e, omega, k, gamma, t)
 
     def _validate(self):
@@ -203,27 +191,27 @@ class FrameState:
         prod[1, 1] -= 1.0
         prod[2, 2] -= 1.0
         worst = np.max(np.abs(prod))
-        if worst > IDENTITY_TOL:
+        if not worst <= IDENTITY_TOL:
             raise ConfigError(f"e*omega deviates from identity by {worst:.3e}")
         ksym = np.max(np.abs(self.k - np.swapaxes(self.k, 0, 1)))
-        if ksym > 1e-12 * max(np.max(np.abs(self.k)), 1.0):
+        if not ksym <= 1e-12 * max(np.max(np.abs(self.k)), 1.0):
             raise ConfigError(f"k is not symmetric (deviation {ksym:.3e})")
         gasym = np.max(np.abs(self.gamma + np.swapaxes(self.gamma, 1, 2)))
-        if gasym > 1e-12 * max(np.max(np.abs(self.gamma)), 1.0):
+        if not gasym <= 1e-12 * max(np.max(np.abs(self.gamma)), 1.0):
             raise ConfigError(f"gamma not antisymmetric in last two slots ({gasym:.3e})")
 
 
-def hamiltonian_residual(state, order=4):
+def hamiltonian_residual(state):
     """R - |k|^2 + (tr k)^2 on the slice, as a scalar field."""
-    r = spatial_ricci(state.e, state.gamma, state.grid, order)
+    r = spatial_ricci(state.e, state.gamma, state.grid)
     tr_r = np.einsum("ii...->...", r)
     trk = np.einsum("ii...->...", state.k)
     ksq = np.einsum("ij...,ij...->...", state.k, state.k)
     return ScalarField(state.grid, tr_r - ksq + trk**2)
 
 
-def _momentum_core(e, gamma, k, grid, order):
-    dk = np.stack([_grid_fd(grid, k, ax, order) for ax in (1, 2, 3)])
+def _momentum_core(e, gamma, k, grid):
+    dk = np.stack([fd_diff(k, ax, grid) for ax in (1, 2, 3)])
     res = np.einsum("ja...,aij...->i...", e, dk)
     res -= np.einsum("ia...,a...->i...", e, np.einsum("aii...->a...", dk))
     res -= np.einsum("jic...,cj...->i...", gamma, k)
@@ -231,20 +219,20 @@ def _momentum_core(e, gamma, k, grid, order):
     return res
 
 
-def momentum_residual_evolved(state, order=4):
+def momentum_residual_evolved(state):
     """Frame divergence constraint e_J k_IJ - e_I tr k minus connection terms,
     evaluated on the slice's own k."""
-    res = _momentum_core(state.e, state.gamma, state.k, state.grid, order)
+    res = _momentum_core(state.e, state.gamma, state.k, state.grid)
     return TensorField(state.grid, res)
 
 
-def torsion_residual(state, order=4):
+def torsion_residual(state):
     """C[I, J, B] = w[I, J, B] - (gamma[I, J, B] - gamma[J, I, B]): zero to
     rounding for gamma built by gamma_from_frame; a live monitor when gamma is
     evolved as an independent unknown.  A check, so it differentiates e itself.
     The I < J entries come from the 9 structure functions, the I > J ones are
     their exact negations and the diagonal is +0.0."""
-    w = _structure_functions(state.e, state.omega, state.grid, order)
+    w = _structure_functions(state.e, state.omega, state.grid)
     c = np.empty_like(state.gamma)
     c[range(3), range(3)] = 0.0
     for p, (i, j) in enumerate(_PAIRS):
@@ -279,7 +267,7 @@ class SpacetimeRicci:
         return np.max(stacked, axis=0)
 
 
-def spacetime_ricci(states, order=4):
+def spacetime_ricci(states):
     """Ricci of the 4-metric reconstructed from a series of slices.
 
     Uses the constant-lapse splitting: the slice Ricci plus measured time
@@ -289,17 +277,15 @@ def spacetime_ricci(states, order=4):
       r4_00[r] = tr d_t kt[r] - |kt[r]|^2
       r4_0i[r] = frame divergence constraint of kt[r]
 
-    with kt the time-FD second fundamental form.  Needs at least 3 slices;
-    the time stencils drop to 2nd order below 5, the spatial ones keep
-    `order`.
+    with kt the time-FD second fundamental form.  Needs at least 3 slices
+    at log-uniform times; the time stencils drop from 4th to 2nd order below
+    5, the spatial ones stay at 4th.
     """
     if len(states) < 3:
         raise ConfigError(f"need at least 3 consecutive slices, got {len(states)}")
     grid = states[0].grid
     t = np.array([st.t for st in states])
-    if np.any(t <= 0):
-        raise ConfigError("slice times must be positive")
-    time_order = order if len(states) >= 5 else 2
+    time_order = 4 if len(states) >= 5 else 2
     # kt[r, I, J] = omega[r, a, J] (d_t e)[r, I, a], written node by node
     # over d_t e from each state's own coframe
     kt = _d_dt(np.stack([st.e for st in states]), t, time_order)
@@ -311,10 +297,10 @@ def spacetime_ricci(states, order=4):
     r4_00 = np.empty((m,) + grid.shape)
     r4_0i = np.empty((m, 3) + grid.shape)
     for r, st in enumerate(states):
-        ricci = spatial_ricci(st.e, st.gamma, grid, order)
+        ricci = spatial_ricci(st.e, st.gamma, grid)
         trkt = np.einsum("ii...->...", kt[r])
         r4_00[r] = np.einsum("ii...->...", dkt_dt[r]) - np.einsum("ij...,ij...->...", kt[r], kt[r])
         # r4_ij takes over the d_t kt buffer once r4_00 has read node r
         dkt_dt[r] = ricci - dkt_dt[r] + trkt * kt[r]
-        r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid, order)
+        r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid)
     return SpacetimeRicci(t, dkt_dt, r4_00, r4_0i, kt)

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   - time-sampled series store the time-node axis FIRST;
   - one stencil kernel serves space and time: centered in the interior;
     periodic mode wraps, localized mode switches to one-sided stencils of
-    the same order at faces.  fd_diff applies it along a trailing spatial
-    axis in the grid's mode, fd_time_diff along the leading time axis in
-    localized mode.
+    the same order at faces.  fd_diff applies it at fourth order along a
+    trailing spatial axis in the grid's mode, fd_time_diff along the leading
+    time axis in localized mode.
 
 Non-periodic data sampled on a periodic grid (e.g. f = x1) is NOT rejected:
 the wrap-around stencil sees the sawtooth jump and produces large derivatives
@@ -148,6 +148,10 @@ class TensorField:
 # finite differences
 # ---------------------------------------------------------------------------
 
+# the order of every spatial derivative: fourth order, with one-sided
+# fourth-order rows at the faces of a localized grid
+STENCIL_ORDER = 4
+
 # one-sided first-derivative rows (order 4 -> 5-point, order 2 -> 3-point),
 # row i = stencil for node i counted from the boundary
 _ONESIDED = {
@@ -219,13 +223,14 @@ def _stencil(values, axis, order, h, mode):
     return df
 
 
-def fd_diff(values, axis, order, h, mode=PERIODIC):
-    """First derivative along a spatial axis of a raw array.
+def fd_diff(values, axis, grid):
+    """First derivative along a spatial axis of a raw array sampled on `grid`,
+    at STENCIL_ORDER in the grid's mode.
 
     axis counts from the END: axis=1..3 addresses the three trailing grid
     axes, so the same call works for scalars, tensors, and time series.
     """
-    return _stencil(values, values.ndim - 3 + (axis - 1), order, h, mode)
+    return _stencil(values, values.ndim - 3 + (axis - 1), STENCIL_ORDER, grid.h, grid.mode)
 
 
 def fd_time_diff(series, h_s, order=4):
@@ -251,8 +256,10 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     sign flip between the first two nodes, or a non-growing head all mean
     no resolvable integrable power law, and the component contributes zero
     tail. Non-integrable growth is flagged only when the head is itself the
-    series maximum and fails to grow along s; a decreasing head buried far
-    below the series scale is cancellation noise, not divergence.
+    series maximum, fails to grow along s, and stands above the rounding
+    floor of the whole field (the largest comp_scale): a decreasing head
+    buried far below the series scale, or a component whose whole series is
+    rounding noise, is cancellation noise, not divergence.
     """
     a0, a1 = np.abs(m0), np.abs(m1)
     negligible = (a0 <= 1e-8 * comp_scale) | (a1 <= 1e-8 * comp_scale)
@@ -260,7 +267,7 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     ok = ~(negligible | signflip)
     q = np.zeros_like(a0)
     np.divide(np.log(np.where(a1 > 0, a1, 1.0)) - np.log(np.where(a0 > 0, a0, 1.0)), h_s, out=q, where=ok)
-    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale)
+    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale) & (a0 > 1e-8 * np.max(comp_scale))
     if np.any(bad):
         comp = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonIntegrableError(

@@ -83,10 +83,10 @@ class IterateSet:
             omega[r] = self.coframe_at(r)
         return omega
 
-    def ricci_at(self, index, order=4):
+    def ricci_at(self, index):
         e = self.e[index]
-        gamma = gamma_from_frame(e, self.coframe_at(index), self.grid, order)
-        return spatial_ricci(e, gamma, self.grid, order)
+        gamma = gamma_from_frame(e, self.coframe_at(index), self.grid)
+        return spatial_ricci(e, gamma, self.grid)
 
 
 def zeroth_iterate(data, times):

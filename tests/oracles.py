@@ -111,7 +111,7 @@ def round_trip_reference(f, c, scale):
         raise ConfigError(f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}")
 
 
-def christoffel_from_metric(g, h, order=4, mode="periodic"):
+def christoffel_from_metric(g, grid):
     """Gamma^a_bc of a spatial metric g[a,b,...] by FD of the metric.
 
     Independent of the frame/connection-coefficient route: only the
@@ -119,7 +119,7 @@ def christoffel_from_metric(g, h, order=4, mode="periodic"):
     """
     ginv = np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1)))
     ginv = np.moveaxis(ginv, (-2, -1), (0, 1))
-    dg = np.stack([fd_diff(g, ax, order, h, mode) for ax in (1, 2, 3)])  # dg[c,a,b] = d_c g_ab
+    dg = np.stack([fd_diff(g, ax, grid) for ax in (1, 2, 3)])  # dg[c,a,b] = d_c g_ab
     # Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
     term = (
         np.einsum("bdc...->dbc...", dg)
@@ -129,10 +129,10 @@ def christoffel_from_metric(g, h, order=4, mode="periodic"):
     return 0.5 * np.einsum("ad...,dbc...->abc...", ginv, term)
 
 
-def ricci_coordinate_oracle(g, h, order=4, mode="periodic"):
+def ricci_coordinate_oracle(g, grid):
     """Coordinate Ricci tensor R_bc from FD Christoffel symbols."""
-    gam = christoffel_from_metric(g, h, order, mode)
-    dgam = np.stack([fd_diff(gam, ax, order, h, mode) for ax in (1, 2, 3)])  # dgam[d,a,b,c]
+    gam = christoffel_from_metric(g, grid)
+    dgam = np.stack([fd_diff(gam, ax, grid) for ax in (1, 2, 3)])  # dgam[d,a,b,c]
     r = np.einsum("aabc...->bc...", dgam)
     r -= np.einsum("baac...->bc...", dgam)  # d_b Gamma^a_ac
     r += np.einsum("aad...,dbc...->bc...", gam, gam)
@@ -140,11 +140,11 @@ def ricci_coordinate_oracle(g, h, order=4, mode="periodic"):
     return r
 
 
-def covariant_gamma_oracle(e, omega, h, order=4, mode="periodic"):
+def covariant_gamma_oracle(e, omega, grid):
     """gamma_IJB = omega_aB (e_I)^b (d_b e_Ja + Gamma^a_bc e_Jc): Koszul route."""
     g = np.einsum("ac...,bc...->ab...", omega, omega)
-    gam = christoffel_from_metric(g, h, order, mode)
-    de = np.stack([fd_diff(e, ax, order, h, mode) for ax in (1, 2, 3)])  # de[b,J,a]
+    gam = christoffel_from_metric(g, grid)
+    de = np.stack([fd_diff(e, ax, grid) for ax in (1, 2, 3)])  # de[b,J,a]
     cov = np.einsum("ib...,bja...->ija...", e, de) + np.einsum(
         "ib...,abc...,jc...->ija...", e, gam, e
     )
@@ -269,7 +269,7 @@ def sympy_residual_gaps(seed):
     return gaps, xs
 
 
-def momentum_coordinate_oracle(g, k_frame, e, omega, h, order=4, mode="periodic"):
+def momentum_coordinate_oracle(g, k_frame, e, omega, grid):
     """Momentum constraint vector by the coordinate route.
 
     Push k to coordinate indices (k_ab = omega_aI omega_bJ k_IJ), take the
@@ -277,17 +277,17 @@ def momentum_coordinate_oracle(g, k_frame, e, omega, h, order=4, mode="periodic"
     the trace, and pull back along the frame.  Shares nothing with the
     frame/connection-coefficient evaluation it cross-checks.
     """
-    gam = christoffel_from_metric(g, h, order, mode)
+    gam = christoffel_from_metric(g, grid)
     ginv = np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1)))
     ginv = np.moveaxis(ginv, (-2, -1), (0, 1))
     k_coord = np.einsum("ai...,bj...,ij...->ab...", omega, omega, k_frame)
-    dk = np.stack([fd_diff(k_coord, ax, order, h, mode) for ax in (1, 2, 3)])
+    dk = np.stack([fd_diff(k_coord, ax, grid) for ax in (1, 2, 3)])
     cov = dk - np.einsum("dac...,db...->acb...", gam, k_coord) - np.einsum(
         "dab...,cd...->acb...", gam, k_coord
     )
     div = np.einsum("ac...,acb...->b...", ginv, cov)
     trk = np.einsum("ab...,ab...->...", ginv, k_coord)
-    dtr = np.stack([fd_diff(trk, ax, order, h, mode) for ax in (1, 2, 3)])
+    dtr = np.stack([fd_diff(trk, ax, grid) for ax in (1, 2, 3)])
     return np.einsum("ib...,b...->i...", e, div - dtr)
 
 
@@ -336,10 +336,10 @@ ONESIDED_ROWS = {
 }
 
 
-def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
-    """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stacked slices,
-    the time stencil in t or in log t (whichever is uniform).  The measured
-    second fundamental form: no evolution right side enters."""
+def second_fundamental_from_frame(e_series, omega_series, t_nodes, time_order=4):
+    """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stacked slices
+    at log-uniform times, the time stencil in log t.  The measured second
+    fundamental form: no evolution right side enters."""
     e_series = np.asarray(e_series, dtype=float)
     omega_series = np.asarray(omega_series, dtype=float)
     t = np.asarray(t_nodes, dtype=float)
@@ -347,16 +347,16 @@ def second_fundamental_from_frame(e_series, omega_series, t_nodes, order=4):
         raise ConfigError("slice times must be positive")
     if e_series.shape[0] != t.size or omega_series.shape[0] != t.size:
         raise ConfigError("series and t_nodes lengths disagree")
-    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, order))
+    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, time_order))
 
 
-def spacetime_ricci_reference(states, order=4):
+def spacetime_ricci_reference(states):
     """(r4_ij, r4_00, r4_0i, k_tilde) of geometry.spacetime_ricci by
     whole-series formulas: stacked e and omega series, k_tilde and its time
     derivative formed whole, r4_ij in its own array."""
     grid = states[0].grid
     t = np.array([st.t for st in states])
-    time_order = order if len(states) >= 5 else 2
+    time_order = 4 if len(states) >= 5 else 2
     kt = second_fundamental_from_frame(
         np.stack([st.e for st in states]), np.stack([st.omega for st in states]), t, time_order
     )
@@ -366,9 +366,9 @@ def spacetime_ricci_reference(states, order=4):
     r4_0i = np.empty((t.size, 3) + grid.shape)
     for r, st in enumerate(states):
         trkt = np.einsum("ii...->...", kt[r])
-        r4_ij[r] = spatial_ricci(st.e, st.gamma, grid, order) - dkt_dt[r] + trkt * kt[r]
+        r4_ij[r] = spatial_ricci(st.e, st.gamma, grid) - dkt_dt[r] + trkt * kt[r]
         r4_00[r] = np.einsum("ii...->...", dkt_dt[r]) - np.einsum("ij...,ij...->...", kt[r], kt[r])
-        r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid, order)
+        r4_0i[r] = _momentum_core(st.e, st.gamma, kt[r], grid)
     return r4_ij, r4_00, r4_0i, kt
 
 
@@ -419,13 +419,13 @@ def fd_time_diff_reference(series, h_s, order=4):
     return ds / h_s
 
 
-def seam_reference(p, c11, c22, c33, kappa12, order=4):
+def seam_reference(p, c11, c22, c33, kappa12):
     """(c11, kappa23, kappa13) seam jumps by re-evaluating each transport's
     right side from its formula and summing it over one x^3 period."""
     grid = p.grid
 
     def d(values, axis):
-        return fd_diff(values, axis, order, grid.h, grid.mode)
+        return fd_diff(values, axis, grid)
 
     def loop(integrand):
         return grid.h * np.sum(integrand, axis=-1)
@@ -452,11 +452,11 @@ def seam_reference(p, c11, c22, c33, kappa12, order=4):
     )
 
 
-def gamma_reference(e, omega, grid, order=4):
+def gamma_reference(e, omega, grid):
     """Connection coefficients from all 27 frame commutator entries:
     gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]), w[I, J, X] =
     omega[a, X] comm[I, J, a], antisymmetrized in (J, B) at the end."""
-    de = np.stack([fd_diff(e, ax, order, grid.h, grid.mode) for ax in (1, 2, 3)])
+    de = np.stack([fd_diff(e, ax, grid) for ax in (1, 2, 3)])
     ede = np.einsum("ib...,bja...->ija...", e, de)
     comm = ede - np.swapaxes(ede, 0, 1)
     w = np.einsum("ija...,ax...->ijx...", comm, omega)
@@ -464,16 +464,12 @@ def gamma_reference(e, omega, grid, order=4):
     return 0.25 * (raw - np.swapaxes(raw, 1, 2))
 
 
-def spatial_ricci_reference(e, gamma, grid, order=4):
+def spatial_ricci_reference(e, gamma, grid):
     """Frame Ricci differentiating all 27 components of gamma."""
-
-    def fd(values, ax):
-        return fd_diff(values, ax, order, grid.h, grid.mode)
-
-    dgam = np.stack([fd(gamma, ax) for ax in (1, 2, 3)])
+    dgam = np.stack([fd_diff(gamma, ax, grid) for ax in (1, 2, 3)])
     r = np.einsum("cb...,bijc...->ij...", e, dgam)
     trace13 = np.einsum("cjc...->j...", gamma)
-    dtr = np.stack([fd(trace13, ax) for ax in (1, 2, 3)])
+    dtr = np.stack([fd_diff(trace13, ax, grid) for ax in (1, 2, 3)])
     r -= np.einsum("ib...,bj...->ij...", e, dtr)
     r -= np.einsum("cid...,djc...->ij...", gamma, gamma)
     r -= np.einsum("ijd...,d...->ij...", gamma, np.einsum("ccd...->d...", gamma))
@@ -482,7 +478,8 @@ def spatial_ricci_reference(e, gamma, grid, order=4):
 
 def tail_reference(m, h_s):
     """Power-law tail below t_min from the full m = tau*g series, judged
-    against each component's max of |m| over all nodes (the seed closure)."""
+    against each component's max of |m| over all nodes (the seed closure);
+    an abort also needs the head above 1e-8 of the field-wide max of |m|."""
     m0, m1 = m[0], m[1]
     a0, a1 = np.abs(m0), np.abs(m1)
     comp_scale = np.max(np.abs(m), axis=0)
@@ -491,7 +488,7 @@ def tail_reference(m, h_s):
     ok = ~(negligible | signflip)
     q = np.zeros_like(a0)
     np.divide(np.log(np.where(a1 > 0, a1, 1.0)) - np.log(np.where(a0 > 0, a0, 1.0)), h_s, out=q, where=ok)
-    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale)
+    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale) & (a0 > 1e-8 * np.max(comp_scale))
     if np.any(bad):
         comp = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonIntegrableError(

@@ -162,7 +162,7 @@ class TestSolveC11:
         x1 = grid.axis_coords()[:, None]
         x2 = grid.axis_coords()[None, :]
         slice2d = 1.0 + 0.3 * np.sin(x1) * np.cos(x2) * np.ones((n, n))
-        c11 = solve_c11(p, np.full(grid.shape, 5.0), c11_slice=slice2d)
+        c11, _ = solve_c11(p, np.full(grid.shape, 5.0), c11_slice=slice2d)
         expected = np.broadcast_to(slice2d[:, :, None], grid.shape)
         assert np.max(np.abs(c11 - expected)) < 1e-14
 
@@ -174,7 +174,7 @@ class TestSolveC11:
         amp = 0.02
         u = np.broadcast_to(2.0 + amp * np.sin(x3), grid.shape).copy()
         p = exponents_from_u(ScalarField(grid, u))
-        c11 = solve_c11(p, np.ones(grid.shape))
+        c11, _ = solve_c11(p, np.ones(grid.shape))
 
         uu = sp.symbols("s")
         u_expr = 2.0 + amp * sp.sin(uu)
@@ -232,8 +232,8 @@ class TestKappaTransports:
         grid = small_grid()
         p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
         ones = np.ones(grid.shape)
-        k23 = solve_kappa23(p, ones, ones, ones)
-        k13 = solve_kappa13(p, ones, ones, ones, kappa12=0.0)
+        k23, _ = solve_kappa23(p, ones, ones, ones)
+        k13, _ = solve_kappa13(p, ones, ones, ones, kappa12=0.0)
         assert np.all(k23 == 0.0)
         assert np.all(k13 == 0.0)
 
@@ -246,7 +246,7 @@ class TestKappaTransports:
         u = np.broadcast_to(2.0 + amp * np.sin(x2), grid.shape).copy()
         p = exponents_from_u(ScalarField(grid, u))
         ones = np.ones(grid.shape)
-        k23 = solve_kappa23(p, ones, ones, ones)
+        k23, _ = solve_kappa23(p, ones, ones, ones)
 
         s = sp.symbols("s")
         u_expr = 2.0 + amp * sp.sin(s)
@@ -265,7 +265,7 @@ class TestKappaTransports:
         p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
         ones = np.ones(grid.shape)
         c33 = np.broadcast_to(np.exp(0.3 * np.sin(x3)), grid.shape).copy()
-        k23 = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
+        k23, _ = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
         expected = 0.2 * np.exp(-0.15 * np.sin(x3))
         assert np.max(np.abs(k23 - expected)) < 1e-13
 
@@ -275,7 +275,7 @@ class TestKappaTransports:
         p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
         ones = np.ones(grid.shape)
         c33 = np.broadcast_to(np.exp(0.3 * np.sin(x3) + 0.2 * np.sin(x2)), grid.shape).copy()
-        k23 = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
+        k23, _ = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
 
         i2 = 5
         x2_val = grid.axis_coords()[i2]
@@ -299,7 +299,7 @@ class TestKappaTransports:
         p = exponents_from_u(ScalarField(grid, u))
         ones = np.ones(grid.shape)
         kappa12 = np.broadcast_to(k12_amp * np.sin(x2), grid.shape).copy()
-        k13 = solve_kappa13(p, ones, ones, ones, kappa12)
+        k13, _ = solve_kappa13(p, ones, ones, ones, kappa12)
 
         s = sp.symbols("s")
         u_expr = 2.0 + amp * sp.sin(s)
@@ -414,7 +414,6 @@ class TestAssembleDataset:
             "c11_slice",
             "kappa23_slice",
             "kappa13_slice",
-            "order",
         ]
 
     def test_homogeneous_inputs_reproduce_identity(self):
@@ -425,6 +424,15 @@ class TestAssembleDataset:
         assert np.all(ds.c[0, 1] == 0.0)
         assert np.all(ds.kappa13 == 0.0)
         assert ds.seam is not None and ds.seam.max_jump == 0.0
+
+    def test_localized_grid_has_no_seam(self):
+        grid = small_grid(8, "localized")
+        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        ones = np.ones(grid.shape)
+        assert solve_c11(p, ones)[1] is None
+        assert solve_kappa23(p, ones, ones, ones)[1] is None
+        assert solve_kappa13(p, ones, ones, ones, kappa12=0.0)[1] is None
+        assert assemble_dataset(p, c22=1.0, c33=1.0).seam is None
 
     def test_u_wave_percolates_and_seam_small(self):
         grid = small_grid(24)

@@ -1,4 +1,5 @@
-"""The pair runner's statistics: wins, quartile spread and the claim rule."""
+"""The pair runner's statistics: wins, quartile spread, the claim rule and
+the no-regression verdict."""
 
 import importlib.util
 import os
@@ -38,3 +39,20 @@ def test_claim_needs_nine_in_ten_wins_beyond_the_parent_spread(change, met):
     summary = bench_pairs.summarize(pairs(parent, change), "peak_rss_mb", "lower")
     assert summary["parent_iqr"] == pytest.approx(1.0)
     assert bench_pairs.claim_met(summary, 10, "lower") is met
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, want",
+    [
+        ([9.5, 10.5] * 5, [10.4] * 10, "lower", "ok"),  # 4% worse, inside the 25% bound
+        ([9.5, 10.5] * 5, [13.0] * 10, "lower", "worse"),  # 30% worse
+        ([9.5, 10.5] * 5, [7.0] * 10, "higher", "worse"),  # 30% lower where higher is better
+        ([7.0, 13.0] * 5, [10.0] * 10, "lower", "unresolved"),  # spread 6.0 against a median of 10.0
+        ([7.0, 13.0] * 5, [6.0] * 10, "lower", "ok"),  # as wide, but every change run is better
+        ([7.0, 13.0] * 5, [14.0] * 10, "higher", "ok"),
+        ([7.0, 13.0] * 5, [12.6] * 10, "lower", "worse"),  # worse beyond the bound wins over spread
+    ],
+)
+def test_verdict_against_the_bound(parent, change, better, want):
+    summary = bench_pairs.summarize(pairs(parent, change), "peak_rss_mb", better)
+    assert bench_pairs.verdict(summary, 0.25, better) == want

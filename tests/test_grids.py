@@ -14,6 +14,7 @@ from kasnerlab.grids import (
     ScalarField,
     SpatialGrid,
     TensorField,
+    _stencil,
     fd_diff,
     fd_time_diff,
     log_time_cumint,
@@ -26,6 +27,12 @@ DELTA = 2 * math.pi
 
 def make_grid(n=16, mode="periodic"):
     return SpatialGrid(DELTA, n, mode)
+
+
+def stencil(values, axis, order, h, mode="periodic"):
+    """The stencil kernel at any order and spacing, on any shape, along a
+    trailing axis counted as fd_diff counts it."""
+    return _stencil(values, values.ndim - 3 + (axis - 1), order, h, mode)
 
 
 class TestSpatialGrid:
@@ -85,7 +92,7 @@ class TestFieldTypes:
 class TestFdDerivative:
     def test_constant_gives_zero(self):
         g = make_grid(8)
-        df = fd_diff(np.ones(g.shape), 1, 4, g.h)
+        df = fd_diff(np.ones(g.shape), 1, g)
         assert np.max(np.abs(df)) == 0.0
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
@@ -94,7 +101,7 @@ class TestFdDerivative:
         g = make_grid(32)
         x = g.mesh(axis)
         k = 2 * math.pi / g.delta
-        df = fd_diff(np.broadcast_to(np.sin(k * x), g.shape).copy(), axis, order, g.h)
+        df = stencil(np.broadcast_to(np.sin(k * x), g.shape).copy(), axis, order, g.h)
         exact = k * np.cos(k * x)
         err = np.max(np.abs(df - np.broadcast_to(exact, g.shape)))
         # 4th order: (kh)^4/30; 2nd order: (kh)^2/6, with 2x headroom
@@ -110,7 +117,7 @@ class TestFdDerivative:
             g = make_grid(n)
             x = g.mesh(1)
             f = np.broadcast_to(np.sin(2 * math.pi / g.delta * x) ** 2, g.shape).copy()
-            df = fd_diff(f, 1, order, g.h)
+            df = stencil(f, 1, order, g.h)
             k = 2 * math.pi / g.delta
             exact = np.broadcast_to(k * np.sin(2 * k * x), g.shape)
             errs.append(np.max(np.abs(df - exact)))
@@ -123,9 +130,16 @@ class TestFdDerivative:
         g = SpatialGrid(1.0, 16, "localized")
         x = g.mesh(1)
         f = np.broadcast_to(x**3 - 2 * x**2 + x, g.shape).copy()
-        df = fd_diff(f, 1, 4, g.h, "localized")
+        df = fd_diff(f, 1, g)
         exact = np.broadcast_to(3 * x**2 - 4 * x + 1, g.shape)
         assert np.max(np.abs(df - exact)) < 1e-11
+
+    @pytest.mark.parametrize("mode", ["periodic", "localized"])
+    def test_grid_sets_spacing_mode_and_fourth_order(self, mode):
+        g = SpatialGrid(1.3, 8, mode)
+        values = np.random.default_rng(9).normal(size=(3, 3) + g.shape)
+        for axis in (1, 2, 3):
+            assert np.array_equal(fd_diff(values, axis, g), roll_stencil_reference(values, axis, 4, g.h, mode))
 
     @pytest.mark.parametrize("mode", ["periodic", "localized"])
     @pytest.mark.parametrize("lead", [(), (3, 3), (3, 3, 3)], ids=["scalar", "rank2", "rank3"])
@@ -134,15 +148,15 @@ class TestFdDerivative:
         # axis 1 has the fewest nodes order 4 allows, so its face slabs overlap
         values = np.random.default_rng(7).normal(size=lead + (5, 8, 11))
         for axis in (1, 2, 3):
-            got = fd_diff(values, axis, order, 0.3, mode)
+            got = stencil(values, axis, order, 0.3, mode)
             assert np.array_equal(got, roll_stencil_reference(values, axis, order, 0.3, mode))
 
     def test_bad_arguments_rejected(self):
         values = np.zeros((8, 8, 8))
         for bad in (
-            lambda: fd_diff(values, 1, 4, 0.1, "open"),
-            lambda: fd_diff(values, 1, 3, 0.1),
-            lambda: fd_diff(np.zeros((4, 8, 8)), 1, 4, 0.1),
+            lambda: stencil(values, 1, 4, 0.1, "open"),
+            lambda: stencil(values, 1, 3, 0.1),
+            lambda: stencil(np.zeros((4, 8, 8)), 1, 4, 0.1),
             lambda: fd_time_diff(np.zeros(4), 0.1, order=4),
         ):
             with pytest.raises(GridError):
@@ -154,7 +168,7 @@ class TestFdDerivative:
         g = SpatialGrid(1.0, 16, "periodic")
         x = g.mesh(1)
         f = np.broadcast_to(x, g.shape).copy()
-        df = fd_diff(f, 1, 4, g.h)
+        df = fd_diff(f, 1, g)
         interior = df[4:12]
         assert np.allclose(interior, 1.0, atol=1e-11)
         assert np.max(np.abs(df[0])) > 1.0 + 1e-6

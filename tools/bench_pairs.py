@@ -18,8 +18,10 @@ change.  After each pair, the change's kbench/compare.py diffs the two
 output digests.  The BENCH file holds every pair's metrics,
 per metric the quartiles of each side, the change's wins, losses and ties
 and the parent's quartile spread, and for --claim whether the change won at
-least nine in ten pairs with a median gain beyond that spread.  The metrics
-and their better direction come from BENCHMARK.json's end_to_end list.
+least nine in ten pairs with a median gain beyond that spread.  Every
+metric also gets a no-regression verdict against its bound: "worse",
+"unresolved" or "ok" (see `verdict`).  The metrics, their better direction
+and their bounds come from BENCHMARK.json's end_to_end list.
 """
 
 import argparse
@@ -92,7 +94,27 @@ def summarize(pairs, metric, better):
         ties=int(np.sum(gain == 0)),
         parent_iqr=quartiles["parent"]["q3"] - quartiles["parent"]["q1"],
         median_rel_change=(c_med - p_med) / p_med if p_med else 0.0,
+        # every run of the change reads better than every run of the parent
+        change_runs_all_better=bool(np.max(sign * change) < np.min(sign * parent)),
     )
+
+
+def verdict(summary, bound, better):
+    """No-regression verdict of one metric on one workload, `bound` being
+    the relative worsening BENCHMARK.json allows:
+      "worse"       the change's median is worse than the parent's by more
+                    than bound (relative to the parent's median);
+      "unresolved"  otherwise, when the parent's quartile spread exceeds
+                    bound relative to its median and not every change run
+                    reads better than every parent run;
+      "ok"          otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    p_med = summary["parent"]["median"]
+    if sign * (summary["change"]["median"] - p_med) > bound * abs(p_med):
+        return "worse"
+    if summary["parent_iqr"] > bound * abs(p_med) and not summary["change_runs_all_better"]:
+        return "unresolved"
+    return "ok"
 
 
 def claim_met(summary, pairs_run, better):
@@ -126,6 +148,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     plan = []
     for spec in args.workload:
@@ -163,7 +186,14 @@ def main(argv=None):
                 pairs.append(pair)
                 print(f"{name} pair {i}/{n_pairs}: " + json.dumps(pair), file=sys.stderr, flush=True)
             summary = {metric: summarize(pairs, metric, way) for metric, way in better.items()}
+            for metric, way in better.items():
+                summary[metric]["verdict"] = verdict(summary[metric], bounds[metric], way)
             out["workloads"][name] = {"pairs": pairs, "summary": summary}
+            print(
+                f"{name}: " + ", ".join(f"{m} {s['verdict']}" for m, s in summary.items()),
+                file=sys.stderr,
+                flush=True,
+            )
     if args.claim:
         name, _, metric = args.claim.partition(":")
         summary = out["workloads"][name]["summary"][metric]
