@@ -476,10 +476,11 @@ def spatial_ricci_reference(e, gamma, grid):
     return r
 
 
-def tail_reference(m, h_s):
+def tail_reference(m, h_s, noise_floor=0.0):
     """Power-law tail below t_min from the full m = tau*g series, judged
     against each component's max of |m| over all nodes (the seed closure);
-    an abort also needs the head above 1e-8 of the field-wide max of |m|."""
+    an abort also needs |m| at the first node above noise_floor, which at 0
+    leaves the seed's rule."""
     m0, m1 = m[0], m[1]
     a0, a1 = np.abs(m0), np.abs(m1)
     comp_scale = np.max(np.abs(m), axis=0)
@@ -488,7 +489,7 @@ def tail_reference(m, h_s):
     ok = ~(negligible | signflip)
     q = np.zeros_like(a0)
     np.divide(np.log(np.where(a1 > 0, a1, 1.0)) - np.log(np.where(a0 > 0, a0, 1.0)), h_s, out=q, where=ok)
-    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale) & (a0 > 1e-8 * np.max(comp_scale))
+    bad = ok & (q <= 1e-12) & (a0 >= 0.5 * comp_scale) & (a0 > noise_floor)
     if np.any(bad):
         comp = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonIntegrableError(
@@ -502,40 +503,40 @@ def tail_reference(m, h_s):
     return tail
 
 
-def cumsum_cumint_reference(samples, tgrid):
+def cumsum_cumint_reference(samples, tgrid, noise_floor=0.0):
     """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
     the power-law tail below t_min, on the full m = tau*g series."""
     m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
     if not np.all(np.isfinite(m)):
         raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
     out = np.empty_like(m)
-    out[0] = tail_reference(m, tgrid.h_s)
+    out[0] = tail_reference(m, tgrid.h_s, noise_floor)
     np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
     out[1:] += out[0]
     return out
 
 
-def _level_cumint_reference(n, what, samples, tgrid):
+def _level_cumint_reference(n, what, samples, tgrid, noise_floor):
     try:
-        return cumsum_cumint_reference(samples, tgrid)
+        return cumsum_cumint_reference(samples, tgrid, noise_floor)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"{what} at level {n}: {err}") from err
 
 
-def _integrating_factor_reference(n, field, w, tgrid):
+def _integrating_factor_reference(n, field, w, tgrid, noise_floor):
     what = f"{field} integrating factor"
-    big_w = _level_cumint_reference(n, what, w, tgrid)
+    big_w = _level_cumint_reference(n, what, w, tgrid, noise_floor)
     if not np.max(np.abs(big_w)) <= CONTRACTION_LIMIT:
         raise NonIntegrableError(f"{what} at level {n}: exponent beyond {CONTRACTION_LIMIT}")
     return big_w
 
 
-def tower_reference(data, times, n_max):
+def tower_reference(data, times, n_max, noise_floor=0.0):
     """Tower levels 1..n_max by the seed's whole-series formulas.
 
     Returns one (e, omega, k, asym_norms, fitted_slope) tuple per level;
     fitted_slope is None where the fit window has too few positive
-    k-differences to fit.
+    k-differences to fit. noise_floor is tail_reference's.
     """
     t_col = times.times.reshape((-1, 1, 1, 1, 1, 1))
     pv = data.p.as_array()
@@ -546,14 +547,14 @@ def tower_reference(data, times, n_max):
     for n in range(1, n_max + 1):
         # k update
         w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
-        big_w = _integrating_factor_reference(n, "k", w, times)
+        big_w = _integrating_factor_reference(n, "k", w, times, noise_floor)
         integrand = np.stack(
             [
                 np.exp(-big_w[r]) * (t * previous.ricci_at(r) + w[r] * t * k0[r])
                 for r, t in enumerate(times.times)
             ]
         )
-        acc = _level_cumint_reference(n, "k update", integrand, times)
+        acc = _level_cumint_reference(n, "k update", integrand, times, noise_floor)
         k_n = k0 + np.exp(big_w)[:, None, None] * acc / t_col
         asym = 0.5 * (k_n - np.swapaxes(k_n, 1, 2))
         asym_norms = np.abs(asym).reshape(times.n_steps, -1).max(axis=1)
@@ -561,7 +562,7 @@ def tower_reference(data, times, n_max):
 
         # frame update
         w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
-        big_w = _integrating_factor_reference(n, "frame", w_diag, times)
+        big_w = _integrating_factor_reference(n, "frame", w_diag, times, noise_floor)
         k_off = previous.k.copy()
         for i in range(3):
             k_off[:, i, i] = 0.0
@@ -570,7 +571,7 @@ def tower_reference(data, times, n_max):
             t_up = np.exp(pv * np.log(t))
             source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off[r], previous.e[r])
             integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
-        acc = _level_cumint_reference(n, "frame update", integrand, times)
+        acc = _level_cumint_reference(n, "frame update", integrand, times, noise_floor)
         e_n = np.empty_like(e0)
         omega = np.empty_like(e0)
         for r, t in enumerate(times.times):

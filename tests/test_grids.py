@@ -260,6 +260,23 @@ class TestLogTimeIntegral:
         with pytest.raises(NonIntegrableError):
             log_time_cumint(g, tg)
 
+    def test_flat_head_aborts_whatever_the_rest_of_the_field_does(self):
+        # a runaway to 1e40 at t_max in another component must not hide it
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        m = np.stack([np.full(41, 0.13), 1e40 * (tg.times / tg.times[-1]) ** 2], axis=1)
+        with pytest.raises(NonIntegrableError, match=r"in component \(0,\)"):
+            log_time_cumint(m / tg.times[:, None], tg)
+
+    def test_flat_head_at_the_rounding_floor_gets_no_tail(self):
+        tg = LogTimeGrid(1e-4, 1e-1, 41)
+        m = np.stack([np.full(41, 3e-15), tg.times**0.5], axis=1)
+        g = m / tg.times[:, None]
+        with pytest.raises(NonIntegrableError):
+            cumsum_cumint_reference(g, tg)
+        out = log_time_cumint(g, tg)
+        assert out[0, 0] == 0.0 and out[0, 1] > 0.0
+        assert np.array_equal(out, cumsum_cumint_reference(g, tg, noise_floor=1e-10))
+
     def test_tail_accuracy_power_law(self):
         # g = tau^0.3: integral t^1.3/1.3; tail fit is exact for pure powers
         tg = LogTimeGrid(1e-4, 1.0, 1024)

@@ -62,28 +62,40 @@ class TestTowerMatchesWholeSeriesFormulas:
 
     @pytest.mark.filterwarnings("ignore:tower level")
     @pytest.mark.parametrize(
-        "family, grid, times, n_max",
+        "family, grid, times",
         [
-            # the level-3 frame-update head is 0.13 against a field scale of 4.2e40
-            (u_wave_dataset, SpatialGrid(DELTA, 8), time_grid(), 3),
             # the level-1 frame integrating factor's head is 3.3e-15 at (0, 5, 4, 4)
-            (layered_dataset, SpatialGrid(DELTA, 10, LOCALIZED), time_grid(), 2),
+            (layered_dataset, SpatialGrid(DELTA, 10, LOCALIZED), time_grid()),
+            # the level-2 k integrating factor's head is 8.4e-15 at (8, 4, 4)
+            (layered_dataset, SpatialGrid(DELTA, 16, LOCALIZED), time_grid()),
             # the level-2 frame-update head is 1.3e-18; no abort at n = 8 to 12
-            (u_wave_dataset, SpatialGrid(DELTA, 16), LogTimeGrid(1e-6, 1e-3, 41), 2),
+            (u_wave_dataset, SpatialGrid(DELTA, 16), LogTimeGrid(1e-6, 1e-3, 41)),
         ],
-        ids=["uwave-level3", "layered-localized", "uwave-near-window"],
+        ids=["layered-localized-10", "layered-localized-16", "uwave-near-window"],
     )
-    def test_heads_below_the_field_rounding_floor_do_not_abort(self, family, grid, times, n_max):
-        # each of these aborted as non-integrable growth while the head was
-        # judged only against its own component's series
+    def test_heads_at_the_rounding_floor_do_not_abort(self, family, grid, times):
+        # the seed's rule judged each head against its own component's series
+        # alone, so these heads of rounding noise aborted as non-integrable
         data = family(grid)
-        levels = build_tower(data, times, n_max)
-        reference = tower_reference(data, times, n_max)
-        assert len(levels) == n_max + 1 == len(reference) + 1
+        with pytest.raises(NonIntegrableError):
+            tower_reference(data, times, 2)
+        levels = build_tower(data, times, 2)
+        reference = tower_reference(data, times, 2, noise_floor=1e-10)
+        assert len(levels) == 3 == len(reference) + 1
         for level, (e, omega, k, asym_norms, slope) in zip(levels[1:], reference):
             assert level.e.tobytes() == e.tobytes()
             assert level.k.tobytes() == k.tobytes()
             assert np.all(np.isfinite(level.e)) and np.all(np.isfinite(level.k))
+
+    def test_a_flat_head_above_the_rounding_floor_still_aborts(self):
+        # u-wave level 3 runs away (its frame-update integrand reaches 4.2e40
+        # at t_max); the flat head 0.13 it leaves at t_min is not noise
+        data = u_wave_dataset(SpatialGrid(DELTA, 8))
+        with pytest.raises(NonIntegrableError) as want:
+            tower_reference(data, time_grid(), 3)
+        with pytest.raises(NonIntegrableError, match="^frame update at level 3: non-integrable") as got:
+            build_tower(data, time_grid(), 3)
+        assert str(got.value) == str(want.value)
 
     def test_abort_inside_the_quadrature_keeps_its_text(self):
         # off-constraint random data abort in the level-1 k update; this pins
