@@ -185,14 +185,6 @@ def _metric_entry(f, i, j):
     return (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2] ** 2)
 
 
-def metric_from_frame_matrix(f):
-    """Inverse of frame_matrix_from_metric."""
-    c = np.empty_like(f)
-    for i, j in _UPPER:
-        c[i, j] = c[j, i] = _metric_entry(f, i, j)
-    return c
-
-
 def kappa_fields_from_metric(p, c):
     """The three stored off-diagonal kappa fields (kappa_1^2, kappa_2^3, kappa_1^3)."""
     k12 = (p.p1 - p.p2) * c[0, 1] / c[1, 1]
@@ -286,7 +278,8 @@ class AsymptoticDataSet:
             )
 
     def _round_trip_errors(self):
-        """metric_from_frame_matrix(f) - c, one entry at a time."""
+        """c(f) - c, one entry at a time, with c(f) the metric that
+        _metric_entry rebuilds from the frame coefficients."""
         for i, j in _UPPER:
             back = _metric_entry(self.f, i, j)
             yield back - self.c[i, j]

@@ -127,7 +127,15 @@ def _trig_field(grid, rng, amp, kmax=2):
 
 
 def random_dataset(grid, seed, u0=2.0, u_amp=0.25, diag_amp=0.3, offdiag_amp=0.2):
-    """Seeded random data: type identities hold, differential constraint does not."""
+    """Seeded random data: type identities hold, differential constraint does not.
+
+    The tower does not run on these data.  At n=12, seed 3, on
+    LogTimeGrid(1e-4, 1e-1, 41) it aborts in the level-1 k update: t^2 R[0]
+    falls toward t = 0 (integrable, not a log divergence), but its head sits
+    near the turning point of |t^2 R[0]|, which the two-node tail fit reads
+    as flat.  With t_min = 1e-5 or 1e-8 the frame integrating factor
+    exceeds its limit, and with 1e-6 the frame update has a flat head.
+    """
     rng = np.random.default_rng(seed)
     u = u0 + _trig_field(grid, rng, u_amp)
     p = exponents_from_u(ScalarField(grid, u))

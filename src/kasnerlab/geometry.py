@@ -8,9 +8,8 @@ antisymmetric in the last two slots by construction; curvature and the
 constraint residuals below never read them from the evolution right side,
 so they stay usable as independent health checks of a run.
 
-Time derivatives are taken from stored slices through one dispatch, _d_dt:
-series are sampled uniformly in log t, as on a LogTimeGrid, and the time
-stencil is applied in s = log t.
+Time derivatives of stored slices come from grids.fd_time_diff: the series
+are sampled uniformly in log t, as on a LogTimeGrid.
 """
 
 import numpy as np
@@ -138,23 +137,6 @@ def spatial_ricci(e, gamma, grid):
     return r
 
 
-def _d_dt(series, t, order):
-    """d/dt along the leading axis of a series sampled at positive nodes t
-    uniform in log t: the time stencil of `order` in s = log t, then
-    d/dt = (1/t) d/ds."""
-    if np.any(t <= 0):
-        raise ConfigError("slice times must be positive")
-    steps = np.diff(np.log(t))
-    hs = float(steps[0])
-    if hs == 0:
-        raise ConfigError("time spacing is zero")
-    if not np.max(np.abs(steps - hs)) <= 1e-9 * abs(hs):
-        raise ConfigError("t_nodes must be uniform in log t")
-    out = fd_time_diff(series, hs, order)
-    out /= t.reshape((-1,) + (1,) * (series.ndim - 1))
-    return out
-
-
 class FrameState:
     """One time slice of the first-order system: frame, coframe, second
     fundamental form, connection coefficients, and the slice time."""
@@ -277,21 +259,19 @@ def spacetime_ricci(states):
       r4_00[r] = tr d_t kt[r] - |kt[r]|^2
       r4_0i[r] = frame divergence constraint of kt[r]
 
-    with kt the time-FD second fundamental form.  Needs at least 3 slices
-    at log-uniform times; the time stencils drop from 4th to 2nd order below
-    5, the spatial ones stay at 4th.
+    with kt the time-FD second fundamental form.  Needs at least 5 slices
+    at log-uniform times, the fourth-order time stencil's width.
     """
-    if len(states) < 3:
-        raise ConfigError(f"need at least 3 consecutive slices, got {len(states)}")
+    if len(states) < 5:
+        raise ConfigError(f"need at least 5 consecutive slices, got {len(states)}")
     grid = states[0].grid
     t = np.array([st.t for st in states])
-    time_order = 4 if len(states) >= 5 else 2
     # kt[r, I, J] = omega[r, a, J] (d_t e)[r, I, a], written node by node
     # over d_t e from each state's own coframe
-    kt = _d_dt(np.stack([st.e for st in states]), t, time_order)
+    kt = fd_time_diff(np.stack([st.e for st in states]), t)
     for r, st in enumerate(states):
         kt[r] = np.einsum("aj...,ia...->ij...", st.omega, kt[r])
-    dkt_dt = _d_dt(kt, t, time_order)
+    dkt_dt = fd_time_diff(kt, t)
 
     m = t.size
     r4_00 = np.empty((m,) + grid.shape)

@@ -6,11 +6,12 @@ Conventions used throughout the package:
   - spatial fields store their three grid axes LAST, so a frame field has
     shape (3, 3, n, n, n) and a scalar (n, n, n);
   - time-sampled series store the time-node axis FIRST;
-  - one stencil kernel serves space and time: centered in the interior;
-    periodic mode wraps, localized mode switches to one-sided stencils of
-    the same order at faces.  fd_diff applies it at fourth order along a
-    trailing spatial axis in the grid's mode, fd_time_diff along the leading
-    time axis in localized mode.
+  - one fourth-order stencil kernel serves space and time: centered in the
+    interior; periodic mode wraps, localized mode switches to one-sided
+    fourth-order rows at faces.  fd_diff applies it along a trailing spatial
+    axis in the grid's mode; fd_time_diff returns d/dt along the leading
+    time axis of a series on log-uniform nodes, applying it in s = log t in
+    localized mode.
 
 Non-periodic data sampled on a periodic grid (e.g. f = x1) is NOT rejected:
 the wrap-around stencil sees the sawtooth jump and produces large derivatives
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import GridError, NonIntegrableError
+from .errors import ConfigError, GridError, NonIntegrableError
 
 PERIODIC = "periodic"
 LOCALIZED = "localized"
@@ -141,82 +142,73 @@ class TensorField:
         _check_finite(values, "TensorField")
         self.grid = grid
         self.values = values
-        self.rank = rank
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
-# the order of every spatial derivative: fourth order, with one-sided
-# fourth-order rows at the faces of a localized grid
-STENCIL_ORDER = 4
+# the stencil width: fourth-order centered differences read 2 nodes on each
+# side, and localized faces take the 5-point one-sided rows below
+_W = 2
 
-# one-sided first-derivative rows (order 4 -> 5-point, order 2 -> 3-point),
-# row i = stencil for node i counted from the boundary
-_ONESIDED = {
-    4: np.array(
+# one-sided fourth-order first-derivative rows, row i = stencil for node i
+# counted from the boundary
+_ONESIDED = (
+    np.array(
         [
             [-25.0, 48.0, -36.0, 16.0, -3.0],
             [-3.0, -10.0, 18.0, -6.0, 1.0],
         ]
     )
-    / 12.0,
-    2: np.array([[-3.0, 4.0, -1.0]]) / 2.0,
-}
+    / 12.0
+)
 
 
-def _flat_stencil(values, axis, order, h):
-    """Centered derivative along `axis` of a C-contiguous array, run on its
-    flat view: k nodes along the axis are k*step entries there, so every
-    operation streams over one contiguous span.  The order//2 nodes next to
+def _flat_stencil(values, axis, h):
+    """Centered fourth-order derivative along `axis` of a C-contiguous array,
+    run on its flat view: k nodes along the axis are k*step entries there, so
+    every operation streams over one contiguous span.  The 2 nodes next to
     each face read into the neighbouring row and are left for the caller."""
-    w = order // 2
     step = math.prod(values.shape[axis + 1 :])
-    span = values.size - 2 * w * step
+    span = values.size - 2 * _W * step
     flat = values.reshape(-1)
 
     def shift(k):
-        return flat[(w + k) * step :][:span]
+        return flat[(_W + k) * step :][:span]
 
     df = np.empty_like(values)
-    out = np.subtract(shift(1), shift(-1), out=df.reshape(-1)[w * step :][:span])
-    if order == 4:
-        # difference grouping keeps the stencil exactly zero on fields that
-        # are constant along the axis
-        out *= 8.0
-        out -= shift(2) - shift(-2)
-        out /= 12.0 * h
-    else:
-        out /= 2.0 * h
+    out = np.subtract(shift(1), shift(-1), out=df.reshape(-1)[_W * step :][:span])
+    # difference grouping keeps the stencil exactly zero on fields that are
+    # constant along the axis
+    out *= 8.0
+    out -= shift(2) - shift(-2)
+    out /= 12.0 * h
     return df
 
 
-def _stencil(values, axis, order, h, mode):
-    """First derivative along the absolute `axis`: the centered stencil in
-    the interior, and at the order//2 nodes next to each face either the
-    same stencil on the wrapped slab (periodic) or one-sided rows of the
-    same order (localized)."""
-    if order not in (2, 4):
-        raise GridError(f"stencil order must be 2 or 4, got {order}")
+def _stencil(values, axis, h, mode):
+    """Fourth-order first derivative along the absolute `axis`: the centered
+    stencil in the interior, and at the 2 nodes next to each face either the
+    same stencil on the wrapped slab (periodic) or the one-sided rows
+    (localized)."""
     if mode not in (PERIODIC, LOCALIZED):
         raise GridError(f"unknown grid mode {mode!r}")
-    if values.shape[axis] < order + 1:
-        raise GridError(f"need at least {order + 1} nodes along the axis for order {order}")
+    if values.shape[axis] < 2 * _W + 1:
+        raise GridError(f"need at least {2 * _W + 1} nodes along the axis")
     values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
-    w = order // 2
     n = values.shape[axis]
-    df = _flat_stencil(values, axis, order, h)
+    df = _flat_stencil(values, axis, h)
     faces = np.moveaxis(df, axis, 0)
     if mode == PERIODIC:
         # the wrapped slab of nodes n-2w..n-1, 0..2w-1
-        seam = _flat_stencil(np.take(values, np.arange(-2 * w, 2 * w), axis=axis), axis, order, h)
+        seam = _flat_stencil(np.take(values, np.arange(-2 * _W, 2 * _W), axis=axis), axis, h)
         seam = np.moveaxis(seam, axis, 0)
-        faces[n - w :] = seam[w : 2 * w]
-        faces[:w] = seam[2 * w : 3 * w]
+        faces[n - _W :] = seam[_W : 2 * _W]
+        faces[:_W] = seam[2 * _W : 3 * _W]
         return df
     nodes = np.moveaxis(values, axis, 0)
-    for i, row in enumerate(_ONESIDED[order]):
+    for i, row in enumerate(_ONESIDED):
         # leading face node i; trailing face node n-1-i mirrored, sign flipped
         faces[i] = sum(c * nodes[m] for m, c in enumerate(row)) / h
         faces[n - 1 - i] = -sum(c * nodes[n - 1 - m] for m, c in enumerate(row)) / h
@@ -225,20 +217,29 @@ def _stencil(values, axis, order, h, mode):
 
 def fd_diff(values, axis, grid):
     """First derivative along a spatial axis of a raw array sampled on `grid`,
-    at STENCIL_ORDER in the grid's mode.
+    at fourth order in the grid's mode.
 
     axis counts from the END: axis=1..3 addresses the three trailing grid
     axes, so the same call works for scalars, tensors, and time series.
     """
-    return _stencil(values, values.ndim - 3 + (axis - 1), STENCIL_ORDER, grid.h, grid.mode)
+    return _stencil(values, values.ndim - 3 + (axis - 1), grid.h, grid.mode)
 
 
-def fd_time_diff(series, h_s, order=4):
-    """d/ds along the leading (time-node) axis; one-sided rows at the ends.
-
-    Series are sampled uniformly in s = log t, so d/dt = (1/t) d/ds.
-    """
-    return _stencil(np.asarray(series), 0, order, h_s, LOCALIZED)
+def fd_time_diff(series, t):
+    """d/dt along the leading (time-node) axis of a series sampled at
+    positive nodes t uniform in log t, as on a LogTimeGrid: the stencil in
+    s = log t with one-sided rows at the ends, then d/dt = (1/t) d/ds."""
+    if np.any(t <= 0):
+        raise ConfigError("slice times must be positive")
+    steps = np.diff(np.log(t))
+    hs = float(steps[0])
+    if hs == 0:
+        raise ConfigError("time spacing is zero")
+    if not np.max(np.abs(steps - hs)) <= 1e-9 * abs(hs):
+        raise ConfigError("t_nodes must be uniform in log t")
+    out = _stencil(np.asarray(series), 0, hs, LOCALIZED)
+    out /= t.reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from scipy.integrate import solve_ivp
 
 from kasnerlab.asymdata import DATASET_REL_TOL, AsymptoticDataSet, KasnerExponents
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
-from kasnerlab.geometry import _d_dt, _momentum_core, coframe_from_frame, spatial_ricci
-from kasnerlab.grids import LOCALIZED, fd_diff
+from kasnerlab.geometry import _momentum_core, coframe_from_frame, spatial_ricci
+from kasnerlab.grids import LOCALIZED, fd_diff, fd_time_diff
 from kasnerlab.iteration import (
     CONTRACTION_LIMIT,
     IterateSet,
@@ -328,15 +328,12 @@ def kasner_symbolic_ricci():
     return ric, p, t
 
 
-# one-sided first-derivative rows of the seed stencils (order 4 -> 5-point,
-# order 2 -> 3-point), row i = stencil for node i counted from the boundary
-ONESIDED_ROWS = {
-    4: np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0,
-    2: np.array([[-3.0, 4.0, -1.0]]) / 2.0,
-}
+# one-sided fourth-order first-derivative rows of the seed stencil, row i =
+# stencil for node i counted from the boundary
+ONESIDED_ROWS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 
 
-def second_fundamental_from_frame(e_series, omega_series, t_nodes, time_order=4):
+def second_fundamental_from_frame(e_series, omega_series, t_nodes):
     """k_tilde[r, I, J] = omega[r, a, J] (d_t e)[r, I, a] from stacked slices
     at log-uniform times, the time stencil in log t.  The measured second
     fundamental form: no evolution right side enters."""
@@ -347,7 +344,7 @@ def second_fundamental_from_frame(e_series, omega_series, t_nodes, time_order=4)
         raise ConfigError("slice times must be positive")
     if e_series.shape[0] != t.size or omega_series.shape[0] != t.size:
         raise ConfigError("series and t_nodes lengths disagree")
-    return np.einsum("maj...,mia...->mij...", omega_series, _d_dt(e_series, t, time_order))
+    return np.einsum("maj...,mia...->mij...", omega_series, fd_time_diff(e_series, t))
 
 
 def spacetime_ricci_reference(states):
@@ -356,11 +353,10 @@ def spacetime_ricci_reference(states):
     derivative formed whole, r4_ij in its own array."""
     grid = states[0].grid
     t = np.array([st.t for st in states])
-    time_order = 4 if len(states) >= 5 else 2
     kt = second_fundamental_from_frame(
-        np.stack([st.e for st in states]), np.stack([st.omega for st in states]), t, time_order
+        np.stack([st.e for st in states]), np.stack([st.omega for st in states]), t
     )
-    dkt_dt = _d_dt(kt, t, time_order)
+    dkt_dt = fd_time_diff(kt, t)
     r4_ij = np.empty_like(kt)
     r4_00 = np.empty((t.size,) + grid.shape)
     r4_0i = np.empty((t.size, 3) + grid.shape)
@@ -372,10 +368,10 @@ def spacetime_ricci_reference(states):
     return r4_ij, r4_00, r4_0i, kt
 
 
-def _onesided_faces(df, values, axis, order, h):
+def _onesided_faces(df, values, axis, h):
     """Overwrite the face slabs of a centered derivative with one-sided rows."""
     n = values.shape[axis]
-    for i, row in enumerate(ONESIDED_ROWS[order]):
+    for i, row in enumerate(ONESIDED_ROWS):
         width = row.size
         lead = sum(row[m] * np.take(values, m, axis=axis) for m in range(width)) / h
         trail = -sum(row[m] * np.take(values, n - 1 - m, axis=axis) for m in range(width)) / h
@@ -388,35 +384,31 @@ def _onesided_faces(df, values, axis, order, h):
     return df
 
 
-def roll_stencil_reference(values, axis, order, h, mode="periodic"):
-    """Centered first derivative along axis (1..3 from the end) by np.roll,
-    with one-sided face rows in localized mode."""
+def roll_stencil_reference(values, axis, h, mode="periodic"):
+    """Centered fourth-order first derivative along axis (1..3 from the end)
+    by np.roll, with one-sided face rows in localized mode."""
     ax = values.ndim - 3 + (axis - 1)
-    if order == 4:
-        df = (
-            8.0 * (np.roll(values, -1, ax) - np.roll(values, 1, ax))
-            - (np.roll(values, -2, ax) - np.roll(values, 2, ax))
-        ) / (12.0 * h)
-    else:
-        df = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2.0 * h)
+    df = (
+        8.0 * (np.roll(values, -1, ax) - np.roll(values, 1, ax))
+        - (np.roll(values, -2, ax) - np.roll(values, 2, ax))
+    ) / (12.0 * h)
     if mode == LOCALIZED:
-        _onesided_faces(df, values, ax, order, h)
+        _onesided_faces(df, values, ax, h)
     return df
 
 
-def fd_time_diff_reference(series, h_s, order=4):
-    """d/ds along the leading axis by the seed formula: the interior stencil
-    summed left to right, one-sided rows at both ends, then divided by h_s."""
+def fd_time_diff_reference(series, t):
+    """d/dt along the leading axis of a series on log-uniform nodes t by the
+    seed formula: the interior stencil summed left to right, one-sided rows
+    at both ends, then divided by the log-time step and by t."""
     n = series.shape[0]
     ds = np.empty_like(series)
-    if order == 4:
-        ds[2:-2] = (series[:-4] - 8.0 * series[1:-3] + 8.0 * series[3:-1] - series[4:]) / 12.0
-    else:
-        ds[1:-1] = (series[2:] - series[:-2]) / 2.0
-    for i, row in enumerate(ONESIDED_ROWS[order]):
+    ds[2:-2] = (series[:-4] - 8.0 * series[1:-3] + 8.0 * series[3:-1] - series[4:]) / 12.0
+    for i, row in enumerate(ONESIDED_ROWS):
         ds[i] = sum(row[m] * series[m] for m in range(row.size))
         ds[n - 1 - i] = -sum(row[m] * series[n - 1 - m] for m in range(row.size))
-    return ds / h_s
+    h_s = float(np.diff(np.log(t))[0])
+    return ds / h_s / t.reshape((-1,) + (1,) * (series.ndim - 1))
 
 
 def seam_reference(p, c11, c22, c33, kappa12):

@@ -28,7 +28,7 @@ from kasnerlab.geometry import (
     spatial_ricci,
     torsion_residual,
 )
-from kasnerlab.grids import LogTimeGrid, ScalarField, SpatialGrid, fd_time_diff
+from kasnerlab.grids import LogTimeGrid, ScalarField, SpatialGrid
 from kasnerlab.iteration import zeroth_iterate
 
 from oracles import (
@@ -353,14 +353,11 @@ class TestSecondFundamental:
     def test_bad_time_nodes_rejected(self):
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.5)
-        e_s = np.stack([st.e] * 3)
-        om_s = np.stack([st.omega] * 3)
-        with pytest.raises(ConfigError):
-            second_fundamental_from_frame(e_s, om_s, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ConfigError):
-            second_fundamental_from_frame(e_s, om_s, np.array([0.1, 0.2, 0.5]))
-        with pytest.raises(ConfigError):
-            second_fundamental_from_frame(e_s, om_s, np.array([-0.1, 0.2, 0.5]))
+        e_s = np.stack([st.e] * 5)
+        om_s = np.stack([st.omega] * 5)
+        for t_nodes in ([0.5] * 5, [0.1, 0.2, 0.3, 0.4, 0.5], [-0.1, 0.2, 0.3, 0.4, 0.5]):
+            with pytest.raises(ConfigError):
+                second_fundamental_from_frame(e_s, om_s, np.array(t_nodes))
 
 
 class TestFrameState:
@@ -475,7 +472,7 @@ class TestConstraintResiduals:
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.3)
         res = momentum_residual_evolved(st)
-        assert res.rank == 1
+        assert res.values.shape == (3,) + grid.shape
         assert np.all(res.values == 0.0)
 
     def test_broken_sum_rule_shows_up_in_hamiltonian(self):
@@ -541,31 +538,11 @@ class TestSpacetimeRicci:
         assert np.max(scaled) < 5e-3
         assert np.max(scaled[2:-2]) < 5e-4
 
-    def test_requires_three_slices(self):
+    def test_requires_five_slices(self):
         grid = SpatialGrid(DELTA, 8)
-        states = [kasner_state(grid, t) for t in (0.5, 0.6)]
-        with pytest.raises(ConfigError):
+        states = [kasner_state(grid, t) for t in np.exp(np.linspace(np.log(0.2), np.log(0.6), 4))]
+        with pytest.raises(ConfigError, match="^need at least 5 consecutive slices, got 4$"):
             spacetime_ricci(states)
-
-    def test_few_slices_lower_only_the_time_order(self):
-        # below 5 slices the time stencils drop to 2nd order; the spatial Ricci
-        # inside r4_ij must stay at 4th order (at 2nd order it
-        # differs by 2.9 against a scale of 115 here)
-        grid = SpatialGrid(DELTA, 16)
-        times = LogTimeGrid(1e-2, 1e-1, 4)
-        level = zeroth_iterate(u_wave_dataset(grid), times)
-        states = [
-            FrameState.from_frame(grid, level.e[r], level.k[r], times.times[r]) for r in range(4)
-        ]
-        r4 = spacetime_ricci(states)
-        kt, t = r4.k_tilde, times.times
-        dkt_dt = fd_time_diff(kt, times.h_s, order=2) / t[:, None, None, None, None, None]
-        trkt_kt = np.einsum("rii...->r...", kt)[:, None, None] * kt
-        used = r4.r4_ij + dkt_dt - trkt_kt
-        for r, st in enumerate(states):
-            want = spatial_ricci(st.e, st.gamma, grid)
-            scale = max(np.max(np.abs(a)) for a in (dkt_dt[r], trkt_kt[r], want))
-            assert np.max(np.abs(used[r] - want)) <= 1e-14 * scale
 
     def test_r4_00_is_the_hamiltonian_minus_the_spatial_trace(self):
         # tr d_t kt - |kt|^2 is (R - |kt|^2 + (tr kt)^2) - tr r4_ij with the
@@ -584,7 +561,8 @@ class TestSpacetimeRicci:
             want = ham - np.einsum("ii...->...", r4.r4_ij[r])
             assert np.max(np.abs(r4.r4_00[r] - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("m", [4, 41])
+    # 5 slices: the fewest the time stencil takes, so its face rows meet
+    @pytest.mark.parametrize("m", [5, 41])
     def test_matches_whole_series_formulas_bitwise(self, m):
         grid = SpatialGrid(DELTA, 8)
         level = zeroth_iterate(random_dataset(grid, seed=0), LogTimeGrid(1e-4, 1e-1, m))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kasnerlab.errors import GridError, NonIntegrableError
+from kasnerlab.errors import ConfigError, GridError, NonIntegrableError
 from kasnerlab.grids import (
     LogTimeGrid,
     ScalarField,
@@ -29,10 +29,10 @@ def make_grid(n=16, mode="periodic"):
     return SpatialGrid(DELTA, n, mode)
 
 
-def stencil(values, axis, order, h, mode="periodic"):
-    """The stencil kernel at any order and spacing, on any shape, along a
-    trailing axis counted as fd_diff counts it."""
-    return _stencil(values, values.ndim - 3 + (axis - 1), order, h, mode)
+def stencil(values, axis, h, mode="periodic"):
+    """The stencil kernel at any spacing, on any shape, along a trailing
+    axis counted as fd_diff counts it."""
+    return _stencil(values, values.ndim - 3 + (axis - 1), h, mode)
 
 
 class TestSpatialGrid:
@@ -96,37 +96,34 @@ class TestFdDerivative:
         assert np.max(np.abs(df)) == 0.0
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_sin_mode(self, axis, order):
+    def test_sin_mode(self, axis):
         g = make_grid(32)
         x = g.mesh(axis)
         k = 2 * math.pi / g.delta
-        df = stencil(np.broadcast_to(np.sin(k * x), g.shape).copy(), axis, order, g.h)
+        df = fd_diff(np.broadcast_to(np.sin(k * x), g.shape).copy(), axis, g)
         exact = k * np.cos(k * x)
         err = np.max(np.abs(df - np.broadcast_to(exact, g.shape)))
-        # 4th order: (kh)^4/30; 2nd order: (kh)^2/6, with 2x headroom
+        # 4th order: (kh)^4/30, with 2x headroom
         kh = k * g.h
-        bound = 2 * (kh**4 / 30 if order == 4 else kh**2 / 6) * k
-        assert err <= bound
+        assert err <= 2 * kh**4 / 30 * k
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_observed_convergence_order(self, order):
+    def test_observed_convergence_order(self):
         errs = []
         ns = [16, 32, 64]
         for n in ns:
             g = make_grid(n)
             x = g.mesh(1)
             f = np.broadcast_to(np.sin(2 * math.pi / g.delta * x) ** 2, g.shape).copy()
-            df = stencil(f, 1, order, g.h)
+            df = fd_diff(f, 1, g)
             k = 2 * math.pi / g.delta
             exact = np.broadcast_to(k * np.sin(2 * k * x), g.shape)
             errs.append(np.max(np.abs(df - exact)))
         p12 = math.log2(errs[0] / errs[1])
         p23 = math.log2(errs[1] / errs[2])
-        assert min(p12, p23) >= order - 0.2
+        assert min(p12, p23) >= 4 - 0.2
 
     def test_localized_onesided_faces(self):
-        # cubic polynomial: both stencil families are exact on it
+        # cubic polynomial: the centered and the one-sided rows are exact on it
         g = SpatialGrid(1.0, 16, "localized")
         x = g.mesh(1)
         f = np.broadcast_to(x**3 - 2 * x**2 + x, g.shape).copy()
@@ -139,25 +136,23 @@ class TestFdDerivative:
         g = SpatialGrid(1.3, 8, mode)
         values = np.random.default_rng(9).normal(size=(3, 3) + g.shape)
         for axis in (1, 2, 3):
-            assert np.array_equal(fd_diff(values, axis, g), roll_stencil_reference(values, axis, 4, g.h, mode))
+            assert np.array_equal(fd_diff(values, axis, g), roll_stencil_reference(values, axis, g.h, mode))
 
     @pytest.mark.parametrize("mode", ["periodic", "localized"])
     @pytest.mark.parametrize("lead", [(), (3, 3), (3, 3, 3)], ids=["scalar", "rank2", "rank3"])
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_matches_roll_reference_bitwise(self, order, lead, mode):
-        # axis 1 has the fewest nodes order 4 allows, so its face slabs overlap
+    def test_matches_roll_reference_bitwise(self, lead, mode):
+        # axis 1 has the fewest nodes the stencil allows, so its face slabs overlap
         values = np.random.default_rng(7).normal(size=lead + (5, 8, 11))
         for axis in (1, 2, 3):
-            got = stencil(values, axis, order, 0.3, mode)
-            assert np.array_equal(got, roll_stencil_reference(values, axis, order, 0.3, mode))
+            got = stencil(values, axis, 0.3, mode)
+            assert np.array_equal(got, roll_stencil_reference(values, axis, 0.3, mode))
 
     def test_bad_arguments_rejected(self):
         values = np.zeros((8, 8, 8))
         for bad in (
-            lambda: stencil(values, 1, 4, 0.1, "open"),
-            lambda: stencil(values, 1, 3, 0.1),
-            lambda: stencil(np.zeros((4, 8, 8)), 1, 4, 0.1),
-            lambda: fd_time_diff(np.zeros(4), 0.1, order=4),
+            lambda: stencil(values, 1, 0.1, "open"),
+            lambda: stencil(np.zeros((4, 8, 8)), 1, 0.1),
+            lambda: fd_time_diff(np.zeros(4), np.exp(0.1 * np.arange(4))),
         ):
             with pytest.raises(GridError):
                 bad()
@@ -175,38 +170,49 @@ class TestFdDerivative:
 
 
 class TestFdTimeDiff:
-    @pytest.mark.parametrize("order,slack", [(4, 30.0), (2, 6.0)])
-    def test_exponential_in_s(self, order, slack):
+    def test_exponential_in_s(self):
+        # the stencil's relative error in d/ds is about (q h_s)^4/30, and
+        # d/dt = (1/t) d/ds keeps it
         tg = LogTimeGrid(1e-4, 1.0, 128)
         q = 1.7
         series = np.exp(q * tg.s)
-        ds = fd_time_diff(series, tg.h_s, order=order)
-        exact = q * series
-        rel = np.max(np.abs(ds[3:-3] - exact[3:-3]) / exact[3:-3])
-        assert rel <= 2 * (q * tg.h_s) ** order / slack
+        dt = fd_time_diff(series, tg.times)
+        exact = q * series / tg.times
+        rel = np.max(np.abs(dt[3:-3] - exact[3:-3]) / exact[3:-3])
+        assert rel <= 2 * (q * tg.h_s) ** 4 / 30.0
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_matches_seed_formula(self, order):
+    def test_matches_seed_formula(self):
         # the kernel groups the interior as 8(a-b)-(c-d) over 12 h_s where the
         # seed summed a-8b+8c-d over 12 and then divided by h_s: the faces
         # must agree bit for bit, the interior to rounding
-        h_s = 0.17
+        t = LogTimeGrid(1.0, 1e3, 41).times
+        h_s = float(np.diff(np.log(t))[0])
         rng = np.random.default_rng(11)
-        w = order // 2
         for series in (rng.normal(size=41), rng.normal(size=(41, 3, 3, 4, 5, 6))):
-            got = fd_time_diff(series, h_s, order=order)
-            want = fd_time_diff_reference(series, h_s, order=order)
-            assert np.array_equal(got[:w], want[:w])
-            assert np.array_equal(got[-w:], want[-w:])
+            got = fd_time_diff(series, t)
+            want = fd_time_diff_reference(series, t)
+            assert np.array_equal(got[:2], want[:2])
+            assert np.array_equal(got[-2:], want[-2:])
+            # t >= 1 here, so the division by t only shrinks the gap in d/ds
             tol = 1e-15 * np.max(np.abs(series)) / h_s
-            assert np.max(np.abs(got[w:-w] - want[w:-w])) <= tol
+            assert np.max(np.abs(got[2:-2] - want[2:-2])) <= tol
 
     def test_polynomial_exact(self):
         tg = LogTimeGrid(1e-2, 1.0, 16)
         series = 3.0 + 2.0 * tg.s + 0.5 * tg.s**2 - 0.1 * tg.s**3
-        ds = fd_time_diff(series, tg.h_s, order=4)
-        exact = 2.0 + tg.s - 0.3 * tg.s**2
-        assert np.max(np.abs(ds - exact)) < 1e-10
+        dt = fd_time_diff(series, tg.times)
+        exact = (2.0 + tg.s - 0.3 * tg.s**2) / tg.times
+        assert np.max(np.abs(dt - exact) * tg.times) < 1e-10
+
+    def test_bad_nodes_rejected(self):
+        series = np.zeros(5)
+        for nodes, text in (
+            (np.array([0.1, 0.2, 0.0, 0.4, 0.5]), "slice times must be positive"),
+            (np.full(5, 0.5), "time spacing is zero"),
+            (np.array([0.1, 0.2, 0.3, 0.4, 0.5]), "t_nodes must be uniform in log t"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{text}$"):
+                fd_time_diff(series, nodes)
 
 
 class TestLogTimeIntegral:

@@ -8,12 +8,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kasnerlab.asymdata import AsymptoticDataSet
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
 from kasnerlab.grids import LOCALIZED, LogTimeGrid, SpatialGrid
 from kasnerlab.iteration import IterateSet, advance_e, advance_k, build_tower, fit_decay_rate, zeroth_iterate
 
-from oracles import gamma_reference, spatial_ricci_reference, tower_reference, zeroth_series_reference
+from oracles import (
+    gamma_reference,
+    ode_reference,
+    spatial_ricci_reference,
+    tower_reference,
+    zeroth_series_reference,
+)
 
 DELTA = 2.0 * math.pi
 
@@ -107,6 +114,21 @@ class TestTowerMatchesWholeSeriesFormulas:
             build_tower(data, time_grid(), 2)
         assert str(got.value) == str(want.value)
 
+    def test_random_data_abort_on_a_turning_point_of_the_head(self):
+        # the level-1 k integrand is tau R[0], so its head m = t^2 R[0]; at the
+        # aborting component |t^2 R[0]| falls toward t = 0 (about as t^0.2
+        # below 1e-6: integrable, not a log divergence) and peaks near
+        # t_min = 1e-4, where the two-node tail fit reads it as flat
+        data = random_dataset(SpatialGrid(DELTA, 12), seed=3)
+        want = r"^k update at level 1: non-integrable growth toward t=0 in component \(1, 1, 2, 11, 7\)"
+        with pytest.raises(NonIntegrableError, match=want):
+            build_tower(data, time_grid(), 2)
+        times = LogTimeGrid(1e-10, 1e-3, 8)
+        zeroth = zeroth_iterate(data, times)
+        head = np.abs([t * t * zeroth.ricci_at(r)[1, 1, 2, 11, 7] for r, t in enumerate(times.times)])
+        assert np.all(np.diff(head[:-1]) > 0) and head[-1] < head[-2]
+        assert head[0] < 0.2 * head[-2]
+
 
 class TestIntegratingFactorAbort:
     def test_abort_names_the_level_and_the_field(self):
@@ -122,6 +144,66 @@ class TestIntegratingFactorAbort:
             advance_k(2, previous, zeroth)
         with pytest.raises(NonIntegrableError, match="^frame integrating factor at level 2: non-integrable"):
             advance_e(2, planted, zeroth, zeroth)
+
+
+def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
+    """Largest gaps of advance_k and advance_e from DOP853, relative to the
+    largest update, on m nodes of the standard window.
+
+    Constant data with off-diagonal frame entries and a planted previous
+    level k = k0 + diag(delta) t^(beta - 1): the frame is constant in space,
+    so Ricci is exactly zero and each update is a scalar linear ODE,
+      y = t (k[n] - k0)_II:        y' = w y - p_I w,      w = sum delta t^(beta-1)
+      y = t^p_I (e[n] - e0)_Ia:    y' = w_I y + f_Ia w_I, w_I = delta_I t^(beta-1)
+    Each ODE starts from the library's node-0 value, its tail closure, so
+    the gap from node 1 on is the log-time trapezoid's alone."""
+    grid = SpatialGrid(DELTA, 8)
+    p = homogeneous_dataset(grid).p
+    c = np.array([[1.0, 0.2, 0.15], [0.2, 1.0, -0.1], [0.15, -0.1, 1.0]])
+    data = AsymptoticDataSet(grid, p, c[:, :, None, None, None] * np.ones(grid.shape))
+    times = LogTimeGrid(1e-4, 1e-1, m)
+    t = times.times
+    zeroth = zeroth_iterate(data, times)
+    planted = zeroth.k.copy()
+    for i in range(3):
+        planted[:, i, i] += delta[i] * t[:, None, None, None] ** (beta - 1.0)
+    previous = IterateSet(1, data, times, zeroth.e, planted)
+    k_n, _ = advance_k(2, previous, zeroth)
+    e_n = advance_e(2, planted, previous, zeroth)
+
+    def gap(y, w_func, forcing):
+        assert np.all(y == y[:, :1, :1, :1])  # spatially constant
+        y = y[:, 0, 0, 0]
+        want = ode_reference(w_func, forcing, t, y[0], t[0]).y[0]
+        return np.max(np.abs(want[1:] - y[1:])) / np.max(np.abs(y))
+
+    def w(s):
+        return sum(delta) * s ** (beta - 1.0)
+
+    gaps_k, gaps_e = [], []
+    for i in range(3):
+        p_i = float(p.as_array()[i, 0, 0, 0])
+        y = t[:, None, None, None] * (k_n[:, i, i] - zeroth.k[:, i, i])
+        gaps_k.append(gap(y, w, lambda s: -p_i * w(s)))
+        w_i = lambda s: delta[i] * s ** (beta - 1.0)
+        for a in range(i, 3):
+            f_ia = float(data.f[i, a, 0, 0, 0])
+            y = t[:, None, None, None] ** p_i * (e_n[:, i, a] - zeroth.e[:, i, a])
+            gaps_e.append(gap(y, w_i, lambda s: f_ia * w_i(s)))
+    return max(gaps_k), max(gaps_e)
+
+
+class TestLevelUpdatesMatchTheOde:
+    def test_trapezoid_error_is_second_order(self):
+        # [measured] k: 4.19e-4 at 41 nodes, 1.05e-4 at 81; e: 6.88e-4 and
+        # 1.72e-4: 0.014 h_s^2 and 0.023 h_s^2, observed order 2.00
+        gaps = {m: _update_errors(m) for m in (41, 81)}
+        for m, (gap_k, gap_e) in gaps.items():
+            h_s = math.log(1e3) / (m - 1)
+            assert gap_k <= 0.02 * h_s**2
+            assert gap_e <= 0.03 * h_s**2
+        for coarse, fine in zip(gaps[41], gaps[81]):
+            assert math.log2(coarse / fine) >= 1.9
 
 
 class TestSingularFrameAbort:

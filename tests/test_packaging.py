@@ -1,5 +1,8 @@
-"""Packaging metadata: every entry point pyproject.toml declares must exist."""
+"""Packaging metadata and API surface: every entry point pyproject.toml
+declares must exist, and every public function of the library must have a
+caller in the library or the benchmark."""
 
+import ast
 import importlib
 import pathlib
 
@@ -7,7 +10,8 @@ import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_declared_scripts_import():
@@ -15,3 +19,35 @@ def test_declared_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _public_definitions(tree):
+    """Names of the module's public functions and its classes' public methods."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield item.name
+
+
+def _references(tree):
+    """Every name the module uses, reads an attribute by or imports; the
+    text of docstrings and comments is not code and does not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_public_function_has_a_caller():
+    # tests do not count as callers: a function only tests call is API that
+    # nothing needs
+    library = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "kasnerlab").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "kbench").glob("*.py"))]
+    defined = {name for tree in library for name in _public_definitions(tree)}
+    used = {name for tree in library + bench for name in _references(tree)}
+    assert len(defined) > 30
+    assert sorted(defined - used) == []
