@@ -350,14 +350,22 @@ class TestSecondFundamental:
             errs[m] = np.max(np.abs(kt - exact) * t_nodes[:, None, None, None, None, None])
         assert errs[9] / errs[17] > 8.0
 
-    def test_bad_time_nodes_rejected(self):
+    @pytest.mark.parametrize(
+        "t_nodes,text",
+        [
+            ([0.5] * 5, "time spacing is zero"),
+            ([0.1, 0.2, 0.3, 0.4, 0.5], "t_nodes must be uniform in log t"),
+            ([-0.1, 0.2, 0.3, 0.4, 0.5], "slice times must be positive"),
+        ],
+        ids=["repeated", "uniform-in-t", "negative"],
+    )
+    def test_bad_time_nodes_rejected(self, t_nodes, text):
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.5)
         e_s = np.stack([st.e] * 5)
         om_s = np.stack([st.omega] * 5)
-        for t_nodes in ([0.5] * 5, [0.1, 0.2, 0.3, 0.4, 0.5], [-0.1, 0.2, 0.3, 0.4, 0.5]):
-            with pytest.raises(ConfigError):
-                second_fundamental_from_frame(e_s, om_s, np.array(t_nodes))
+        with pytest.raises(ConfigError, match=f"^{text}$"):
+            second_fundamental_from_frame(e_s, om_s, np.array(t_nodes))
 
 
 class TestFrameState:
@@ -538,10 +546,11 @@ class TestSpacetimeRicci:
         assert np.max(scaled) < 5e-3
         assert np.max(scaled[2:-2]) < 5e-4
 
-    def test_requires_five_slices(self):
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_requires_five_slices(self, m):
         grid = SpatialGrid(DELTA, 8)
-        states = [kasner_state(grid, t) for t in np.exp(np.linspace(np.log(0.2), np.log(0.6), 4))]
-        with pytest.raises(ConfigError, match="^need at least 5 consecutive slices, got 4$"):
+        states = [kasner_state(grid, t) for t in np.exp(np.linspace(np.log(0.2), np.log(0.6), m))]
+        with pytest.raises(ConfigError, match=f"^need at least 5 consecutive slices, got {m}$"):
             spacetime_ricci(states)
 
     def test_r4_00_is_the_hamiltonian_minus_the_spatial_trace(self):
@@ -561,8 +570,9 @@ class TestSpacetimeRicci:
             want = ham - np.einsum("ii...->...", r4.r4_ij[r])
             assert np.max(np.abs(r4.r4_00[r] - want)) <= 1e-10 * np.max(np.abs(want))
 
-    # 5 slices: the fewest the time stencil takes, so its face rows meet
-    @pytest.mark.parametrize("m", [5, 41])
+    # 5 slices: the fewest the time stencil takes, so its face rows meet;
+    # 6: the first series with more than one centered row
+    @pytest.mark.parametrize("m", [5, 6, 41])
     def test_matches_whole_series_formulas_bitwise(self, m):
         grid = SpatialGrid(DELTA, 8)
         level = zeroth_iterate(random_dataset(grid, seed=0), LogTimeGrid(1e-4, 1e-1, m))
