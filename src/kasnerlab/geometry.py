@@ -4,9 +4,14 @@ A frame field e has components e[I, a] (frame index first, then the
 coordinate axis, then the grid axes): e_I = sum_a e[I, a] d/dx^(a+1).  The
 coframe omega is its pointwise matrix inverse, so the slice metric is
 g_ab = omega[a, C] omega[b, C].  Connection coefficients gamma[I, J, B] are
-antisymmetric in the last two slots by construction; curvature and the
-constraint residuals below never read them from the evolution right side,
-so they stay usable as independent health checks of a run.
+antisymmetric in the last two slots, so only their 9 slots J < B are stored:
+the packed connection g[I, p] = gamma[I, J, B], (J, B) = _PAIRS[p], has
+shape (3, 3) + grid, and no other layout exists.  Kernels that need all 27
+slots (the quadratic terms of the Ricci and momentum residuals, the torsion)
+expand g once per call into a node-sized temporary (_unpack_gamma), with
+the mirrored slots exact negations and the diagonal +0.0.  Curvature and
+the constraint residuals below never read the connection from the evolution
+right side, so they stay usable as independent health checks of a run.
 
 Time derivatives of stored slices come from grids.fd_time_diff: the series
 are sampled uniformly in log t, as on a LogTimeGrid.
@@ -82,31 +87,41 @@ def _structure_functions(e, omega, grid):
 
 
 def gamma_from_frame(e, omega, grid):
-    """Levi-Civita connection coefficients of the frame from its commutator
-    coefficients w: gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]).
+    """Levi-Civita connection coefficients of the frame, packed: g[I, p] =
+    gamma[I, J, B] with (J, B) = _PAIRS[p], from the commutator coefficients
+    w: gamma[I, J, B] = 1/2 (w[I, J, B] - w[J, B, I] + w[B, I, J]).
 
-    Only the 9 independent slots J < B are computed, from the structure
-    functions; where I is J or B the formula reduces to -w[J, B, I].  The
-    mirrored slots are their exact negations and the diagonal J = B is +0.0,
-    so the (J, B) antisymmetry is exact in floating point.
+    Only the 9 independent slots J < B exist, computed from the structure
+    functions; where I is J or B the formula reduces to -w[J, B, I].  Shape
+    (3, 3) + grid.
     """
     w = _structure_functions(e, omega, grid)
 
     def w_at(i, j, x):  # i != j
         return w[_PAIRS.index((i, j)), x] if i < j else -w[_PAIRS.index((j, i)), x]
 
-    gamma = np.empty((3,) + w.shape)
-    gamma[:, range(3), range(3)] = 0.0
+    g = np.empty_like(w)
     for p, (j, b) in enumerate(_PAIRS):
         i = 3 - j - b
-        np.negative(w[p, j], out=gamma[j, j, b])
-        np.negative(w[p, b], out=gamma[b, j, b])
-        gamma[i, j, b] = 0.5 * (w_at(i, j, b) - w[p, i] + w_at(b, i, j))
-        np.negative(gamma[:, j, b], out=gamma[:, b, j])
+        np.negative(w[p, j], out=g[j, p])
+        np.negative(w[p, b], out=g[b, p])
+        g[i, p] = 0.5 * (w_at(i, j, b) - w[p, i] + w_at(b, i, j))
+    return g
+
+
+def _unpack_gamma(g):
+    """The 27 slots gamma[I, J, B] of a packed connection g: the mirrored
+    slots are exact negations and the diagonal J = B is +0.0, so the (J, B)
+    antisymmetry is exact in floating point."""
+    gamma = np.empty((3,) + g.shape)
+    gamma[:, range(3), range(3)] = 0.0
+    for p, (j, b) in enumerate(_PAIRS):
+        gamma[:, j, b] = g[:, p]
+        np.negative(g[:, p], out=gamma[:, b, j])
     return gamma
 
 
-def spatial_ricci(e, gamma, grid):
+def spatial_ricci(e, g, grid):
     """Slice Ricci in frame components:
 
       R[I, J] = e_C gamma[I, J, C] - e_I (sum_C gamma[C, J, C])
@@ -116,22 +131,23 @@ def spatial_ricci(e, gamma, grid):
     Not symmetrized: an evolved connection need not be Levi-Civita, and the
     antisymmetric part is itself a useful monitor.
 
-    Reads gamma as exactly antisymmetric in its last two slots (as built by
-    gamma_from_frame, enforced by FrameState) and differentiates only its 9
-    slots J < C: each adds e_C(gamma[I, J, C]) to R[I, J] and subtracts
-    e_J(gamma[I, J, C]) from R[I, C]; sum_C gamma[C, J, C] = -v[J] reuses them.
+    Reads the packed connection g[I, p] = gamma[I, J, C], (J, C) = _PAIRS[p]
+    (as built by gamma_from_frame) and differentiates it directly: each slot
+    adds e_C(g[I, p]) to R[I, J] and subtracts e_J(g[I, p]) from R[I, C];
+    sum_C gamma[C, J, C] = -v[J] reuses them.  The quadratic terms expand g
+    to its 27 slots once.
     """
-    upper = np.stack([gamma[:, j, c] for j, c in _PAIRS], axis=1)
-    d = [fd_diff(upper, ax, grid) for ax in (1, 2, 3)]
+    d = [fd_diff(g, ax, grid) for ax in (1, 2, 3)]
     r = np.zeros((3, 3) + e.shape[2:])
     for b, db in enumerate(d):
         for p, (j, c) in enumerate(_PAIRS):
             r[:, j] += e[c, b] * db[:, p]
             r[:, c] -= e[j, b] * db[:, p]
     for b, db in enumerate(d):
-        # v = (-gamma[1,0,1] - gamma[2,0,2], gamma[0,0,1] - gamma[2,1,2], gamma[0,0,2] + gamma[1,1,2])
+        # v = (-g[1, 0] - g[2, 1], g[0, 0] - g[2, 2], g[0, 1] + g[1, 2])
         for j, dv in enumerate((-(db[1, 0] + db[2, 1]), db[0, 0] - db[2, 2], db[0, 1] + db[1, 2])):
             r[:, j] += e[:, b] * dv
+    gamma = _unpack_gamma(g)
     r -= np.einsum("cid...,djc...->ij...", gamma, gamma)
     r -= np.einsum("ijd...,d...->ij...", gamma, np.einsum("ccd...->d...", gamma))
     return r
@@ -139,7 +155,11 @@ def spatial_ricci(e, gamma, grid):
 
 class FrameState:
     """One time slice of the first-order system: frame, coframe, second
-    fundamental form, connection coefficients, and the slice time."""
+    fundamental form, packed connection coefficients gamma[I, p] (the 9
+    independent slots, see gamma_from_frame), and the slice time.  Every
+    field is (3, 3) + grid.  The packed layout cannot hold a connection that
+    is not antisymmetric in its last two slots, so validation checks its
+    shape and finiteness only."""
 
     def __init__(self, grid, e, omega, k, gamma, t, check=True):
         self.grid = grid
@@ -159,13 +179,9 @@ class FrameState:
 
     def _validate(self):
         shape = (3, 3) + self.grid.shape
-        for name, arr in (("e", self.e), ("omega", self.omega), ("k", self.k)):
+        for name, arr in (("e", self.e), ("omega", self.omega), ("k", self.k), ("gamma", self.gamma)):
             if arr.shape != shape:
                 raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.gamma.shape != (3, 3, 3) + self.grid.shape:
-            raise ConfigError(
-                f"gamma has shape {self.gamma.shape}, expected {(3, 3, 3) + self.grid.shape}"
-            )
         if not self.t > 0:
             raise ConfigError(f"slice time must be positive, got {self.t}")
         prod = np.einsum("ia...,ac...->ic...", self.e, self.omega)
@@ -178,9 +194,9 @@ class FrameState:
         ksym = np.max(np.abs(self.k - np.swapaxes(self.k, 0, 1)))
         if not ksym <= 1e-12 * max(np.max(np.abs(self.k)), 1.0):
             raise ConfigError(f"k is not symmetric (deviation {ksym:.3e})")
-        gasym = np.max(np.abs(self.gamma + np.swapaxes(self.gamma, 1, 2)))
-        if not gasym <= 1e-12 * max(np.max(np.abs(self.gamma)), 1.0):
-            raise ConfigError(f"gamma not antisymmetric in last two slots ({gasym:.3e})")
+        if not np.all(np.isfinite(self.gamma)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(self.gamma))[0])
+            raise ConfigError(f"gamma has a non-finite value at index {bad}")
 
 
 def hamiltonian_residual(state):
@@ -192,8 +208,9 @@ def hamiltonian_residual(state):
     return ScalarField(state.grid, tr_r - ksq + trk**2)
 
 
-def _momentum_core(e, gamma, k, grid):
+def _momentum_core(e, g, k, grid):
     dk = np.stack([fd_diff(k, ax, grid) for ax in (1, 2, 3)])
+    gamma = _unpack_gamma(g)
     res = np.einsum("ja...,aij...->i...", e, dk)
     res -= np.einsum("ia...,a...->i...", e, np.einsum("aii...->a...", dk))
     res -= np.einsum("jic...,cj...->i...", gamma, k)
@@ -212,15 +229,15 @@ def torsion_residual(state):
     """C[I, J, B] = w[I, J, B] - (gamma[I, J, B] - gamma[J, I, B]): zero to
     rounding for gamma built by gamma_from_frame; a live monitor when gamma is
     evolved as an independent unknown.  A check, so it differentiates e itself.
-    The I < J entries come from the 9 structure functions, the I > J ones are
-    their exact negations and the diagonal is +0.0."""
+
+    C is antisymmetric in (I, J), so only its 9 independent entries are
+    returned, packed like the connection: c[p, B] = C[I, J, B] with
+    (I, J) = _PAIRS[p], from the 9 structure functions."""
     w = _structure_functions(state.e, state.omega, state.grid)
-    c = np.empty_like(state.gamma)
-    c[range(3), range(3)] = 0.0
+    gamma = _unpack_gamma(state.gamma)
     for p, (i, j) in enumerate(_PAIRS):
-        np.subtract(w[p], state.gamma[i, j] - state.gamma[j, i], out=c[i, j])
-        np.negative(c[i, j], out=c[j, i])
-    return TensorField(state.grid, c)
+        w[p] -= gamma[i, j] - gamma[j, i]
+    return TensorField(state.grid, w)
 
 
 class SpacetimeRicci:

@@ -124,16 +124,20 @@ class ScalarField:
 
 
 class TensorField:
-    """Tensor field with 1..3 frame/coordinate indices ahead of the grid axes.
+    """Tensor field with one or two 3-valued indices ahead of the grid axes.
 
-    Construction checks the shape, the index dimensions and finiteness; hot
-    loops work on raw arrays and wrap results at module boundaries.
+    A tensor antisymmetric in a pair of frame indices is stored packed: the
+    pair becomes one index p over its 3 independent pairs (I, J), I < J, as
+    in geometry's torsion c[p, B] = C[I, J, B], so its 9 independent entries
+    fill a (3, 3) field.  Construction checks the shape, the index
+    dimensions and finiteness; hot loops work on raw arrays and wrap results
+    at module boundaries.
     """
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         rank = values.ndim - 3
-        if rank not in (1, 2, 3) or values.shape[rank:] != grid.shape:
+        if rank not in (1, 2) or values.shape[rank:] != grid.shape:
             raise GridError(
                 f"tensor values shape {values.shape} incompatible with grid shape {grid.shape}"
             )

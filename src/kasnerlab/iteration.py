@@ -44,7 +44,7 @@ class IterateSet:
     """One tower level: the frame and k series on the time grid.
 
     The coframe and gamma are derived from the frame per node on use
-    (coframe_at, ricci_at); storing them would add one and three series to
+    (coframe_at, ricci_at); storing them would add one and one series to
     the two a level holds.  `omega` forms the whole coframe series on each
     access, at O(series) time and memory; the tower itself never reads it.
     """

@@ -8,9 +8,11 @@ inputs that the library itself never needs.
 The `*_reference` kernels are the plain formulas the optimised library
 kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
-spatial Ricci).  second_fundamental_from_frame is the whole-series k_tilde
-that spacetime_ricci_reference builds on.  The library itself never
-imports this module.
+spatial Ricci).  The connection oracles work on all 27 slots gamma[I, J, B];
+tests compare the library's packed gamma through geometry._unpack_gamma.
+second_fundamental_from_frame is the whole-series k_tilde that
+spacetime_ricci_reference builds on.  The library itself never imports
+this module.
 """
 
 from unittest import mock

@@ -19,6 +19,7 @@ from kasnerlab.errors import ConfigError, SingularFrameError
 from kasnerlab.families import random_dataset, u_wave_dataset
 from kasnerlab.geometry import (
     FrameState,
+    _unpack_gamma,
     coframe_from_frame,
     frame_determinant,
     gamma_from_frame,
@@ -83,7 +84,7 @@ def kasner_state(grid, t, u0=2.0):
     for i in range(3):
         e[i, i] = t ** (-pv[i])
         k[i, i] = -pv[i] / t
-    return FrameState(grid, e, coframe_from_frame(e), k, np.zeros((3, 3, 3) + grid.shape), t)
+    return FrameState(grid, e, coframe_from_frame(e), k, np.zeros((3, 3) + grid.shape), t)
 
 
 def _nan_at(a, index):
@@ -199,15 +200,17 @@ class TestGammaFromFrame:
     def test_exact_antisymmetry(self):
         grid = SpatialGrid(DELTA, 16)
         e = smooth_frame(grid)
-        gam = gamma_from_frame(e, coframe_from_frame(e), grid)
+        gam = _unpack_gamma(gamma_from_frame(e, coframe_from_frame(e), grid))
         assert np.array_equal(gam, -np.swapaxes(gam, 1, 2))
+        diagonal = gam[:, range(3), range(3)]
+        assert np.all(diagonal == 0.0) and not np.any(np.signbit(diagonal))
 
     def test_against_koszul_oracle(self):
         # [measured] gap 5.6e-4 at n=24, 4th order (2.5e-3 at 16, 1.9e-4 at 32)
         grid = SpatialGrid(DELTA, 24)
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
-        gam = gamma_from_frame(e, om, grid)
+        gam = _unpack_gamma(gamma_from_frame(e, om, grid))
         gap = np.max(np.abs(gam - covariant_gamma_oracle(e, om, grid)))
         assert gap < 1.5e-3
 
@@ -217,7 +220,8 @@ class TestGammaFromFrame:
             grid = SpatialGrid(DELTA, n)
             e = smooth_frame(grid)
             om = coframe_from_frame(e)
-            gaps[n] = np.max(np.abs(gamma_from_frame(e, om, grid) - covariant_gamma_oracle(e, om, grid)))
+            gam = _unpack_gamma(gamma_from_frame(e, om, grid))
+            gaps[n] = np.max(np.abs(gam - covariant_gamma_oracle(e, om, grid)))
         assert gaps[16] / gaps[32] > 10.0
 
     @pytest.mark.parametrize("mode", ["periodic", "localized"])
@@ -227,7 +231,7 @@ class TestGammaFromFrame:
         random_e = zeroth_iterate(random_dataset(grid, seed=5), LogTimeGrid(1e-4, 1e-1, 41)).e[0]
         for e in (smooth_frame(grid), random_e):
             om = coframe_from_frame(e)
-            got = gamma_from_frame(e, om, grid)
+            got = _unpack_gamma(gamma_from_frame(e, om, grid))
             assert_close_to_reference(got, gamma_reference(e, om, grid))
 
     def test_torsion_closure(self):
@@ -241,17 +245,23 @@ class TestGammaFromFrame:
         assert np.max(np.abs(c)) < 1e-13
 
     def test_torsion_sees_non_levi_civita_gamma(self):
+        # a bump b in gamma[0, 1, 2] (and so -b in gamma[0, 2, 1]) moves
+        # C[0, 1, 2] by -b and C[0, 2, 1] by +b; the packed torsion c[p, B]
+        # holds them at p = (0, 1), B = 2 and p = (0, 2), B = 1
         grid = SpatialGrid(DELTA, 16)
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
-        gam = gamma_from_frame(e, om, grid).copy()
+        gam = gamma_from_frame(e, om, grid)
+        b = 1e-3 * np.sin(grid.mesh(1) + grid.mesh(3))
         bump = np.zeros_like(gam)
-        bump[0, 1, 2] = 1e-3
-        bump[0, 2, 1] = -1e-3
+        bump[0, 2] = b  # the packed slot gamma[0, 1, 2]
         st = FrameState(grid, e, om, smooth_symmetric(grid), gam + bump, 1.0)
         c = torsion_residual(st).values
-        assert np.max(np.abs(c)) > 1e-3
-        assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+        moved = np.zeros_like(c)
+        moved[0, 2] = -b
+        moved[1, 1] = b
+        # the rounding bound of test_torsion_closure
+        assert np.max(np.abs(c - moved)) < 1e-13
 
 
 class TestSpatialRicci:
@@ -267,13 +277,12 @@ class TestSpatialRicci:
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
         gam = gamma_from_frame(e, om, grid)
-        # a non-Levi-Civita connection, still exactly antisymmetric in (J, C)
+        # a non-Levi-Civita connection: a bump in the packed slot gamma[0, 1, 2]
         bump = np.zeros_like(gam)
-        bump[0, 1, 2] = 1e-3 * np.sin(grid.mesh(1) + grid.mesh(3))
-        bump[0, 2, 1] = -bump[0, 1, 2]
+        bump[0, 2] = 1e-3 * np.sin(grid.mesh(1) + grid.mesh(3))
         for g in (gam, gam + bump):
             got = spatial_ricci(e, g, grid)
-            assert_close_to_reference(got, spatial_ricci_reference(e, g, grid))
+            assert_close_to_reference(got, spatial_ricci_reference(e, _unpack_gamma(g), grid))
 
     def test_against_coordinate_oracle(self):
         # [measured] gap 3.2e-3 at n=24, 4th order (1.2e-2 at 16, 1.0e-3 at 32)
@@ -392,13 +401,15 @@ class TestFrameState:
         with pytest.raises(ConfigError):
             FrameState(grid, st.e, st.omega, k, st.gamma, st.t)
 
-    def test_validation_catches_bad_gamma_symmetry(self):
+    def test_validation_rejects_a_27_slot_gamma(self):
+        # the packed gamma holds only the 9 slots J < B, so no layout that
+        # could break the (J, B) antisymmetry is accepted
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.5)
-        gam = st.gamma.copy()
-        gam[0, 1, 1] = 1e-3
-        with pytest.raises(ConfigError):
-            FrameState(grid, st.e, st.omega, st.k, gam, st.t)
+        full = _unpack_gamma(st.gamma)
+        want = r"^gamma has shape \(3, 3, 3, 8, 8, 8\), expected \(3, 3, 8, 8, 8\)$"
+        with pytest.raises(ConfigError, match=want):
+            FrameState(grid, st.e, st.omega, st.k, full, st.t)
 
     def test_validation_rejects_nonpositive_time(self):
         grid = SpatialGrid(DELTA, 8)
@@ -421,9 +432,9 @@ class TestFrameState:
                 r"^k is not symmetric \(deviation nan\)$",
             ),
             (
-                lambda st, mp: FrameState(st.grid, st.e, st.omega, st.k, _nan_at(st.gamma, (0, 0, 1, 2, 5, 1)), st.t),
+                lambda st, mp: FrameState(st.grid, st.e, st.omega, st.k, _nan_at(st.gamma, (0, 1, 2, 5, 1)), st.t),
                 ConfigError,
-                r"^gamma not antisymmetric in last two slots \(nan\)$",
+                r"^gamma has a non-finite value at index \(0, 1, 2, 5, 1\)$",
             ),
             (
                 lambda st, mp: frame_determinant(_nan_at(st.e, (0, 1, 2, 5, 1))),
@@ -436,7 +447,7 @@ class TestFrameState:
                 r"^metric/frame round trip failed: max error nan vs scale",
             ),
         ],
-        ids=["identity", "k-symmetry", "gamma-antisymmetry", "determinant", "round-trip"],
+        ids=["identity", "k-symmetry", "gamma-finiteness", "determinant", "round-trip"],
     )
     def test_a_nan_fails_each_check(self, build, error, text, monkeypatch):
         # a NaN compares false with every bound, so each check passes only a
@@ -448,7 +459,7 @@ class TestFrameState:
 
 class TestDerivativeCount:
     def test_one_fd_diff_call_per_axis(self, monkeypatch):
-        # gamma differentiates e, Ricci the 9 J < C slots of gamma (the trace
+        # gamma differentiates e, Ricci the packed gamma's 9 slots (the trace
         # term reuses them) and the momentum residual k (tr k reuses it)
         grid = SpatialGrid(DELTA, 8)
         e = smooth_frame(grid)

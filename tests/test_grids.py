@@ -85,6 +85,8 @@ class TestFieldTypes:
             ScalarField(g, np.zeros((8, 8, 4)))
         with pytest.raises(GridError, match="incompatible"):
             TensorField(g, np.zeros((3, 8, 8, 4)))
+        with pytest.raises(GridError, match="incompatible"):
+            TensorField(g, np.zeros((3, 3, 3) + g.shape))
         with pytest.raises(GridError, match="index dimensions"):
             TensorField(g, np.zeros((3, 2) + g.shape))
 

@@ -10,6 +10,7 @@ import pytest
 
 from kasnerlab.asymdata import AsymptoticDataSet
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
+from kasnerlab.geometry import FrameState, torsion_residual
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
 from kasnerlab.grids import LOCALIZED, LogTimeGrid, SpatialGrid
 from kasnerlab.iteration import IterateSet, advance_e, advance_k, build_tower, fit_decay_rate, zeroth_iterate
@@ -263,6 +264,27 @@ class TestTowerMemory:
             tracemalloc.stop()
         series = levels[0].e.nbytes
         assert peak <= (2 * len(levels) + 1.25) * series
+
+
+class TestHealthMemory:
+    def test_health_pass_holds_three_series(self):
+        # each state of a health pass views e and k in the level and holds
+        # its own coframe and packed gamma (9 grid fields); with each node's
+        # packed torsion (9 more) that is 3 series (measured 3.07 with the
+        # Python objects; 7.07 with 27-slot gamma and torsion)
+        grid = SpatialGrid(DELTA, 8)
+        level = zeroth_iterate(random_dataset(grid, seed=0), time_grid())
+        t = level.times.times
+        tracemalloc.start()
+        try:
+            states = [FrameState.from_frame(grid, level.e[r], level.k[r], t[r]) for r in range(t.size)]
+            torsion = [torsion_residual(st).values for st in states]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 3.25 * level.e.nbytes
+        field = np.zeros(grid.shape).nbytes
+        assert {st.gamma.nbytes for st in states} == {c.nbytes for c in torsion} == {9 * field}
 
 
 class TestEnvelopeReport:
