@@ -11,9 +11,13 @@ the degrees-of-freedom count of the underlying existence argument.
 
 Conventions
 -----------
-Matrix-valued fields are ndarrays of shape (3, 3) + grid.shape, 0-based.
-Public operations that take a direction use 1-based labels i, I in {1,2,3}
-to match the coordinate names x^1, x^2, x^3.
+The symmetric c and the upper-triangular f and h are stored packed, each
+independent entry once: an ndarray of shape (6,) + grid.shape whose slot s
+holds entry SLOTS[s] = (i, j), i <= j, 0-based, in the order 00, 11, 22,
+01, 12, 02 (so slot i < 3 is the diagonal entry ii).  No other layout
+exists: the mirrored entries of c and the zero lower entries of f and h are
+never stored.  Public operations that take a direction use 1-based labels
+i, I in {1,2,3} to match the coordinate names x^1, x^2, x^3.
 
 Residual conventions, with V = c11*c22*c33 and D_a the grid derivative:
 
@@ -147,49 +151,56 @@ def exponents_from_u(u):
 # ---------------------------------------------------------------------------
 
 
+# the entries (i, j), i <= j, that fix a symmetric or an upper-triangular
+# 3x3 matrix: slot s of a packed c, f or h holds entry SLOTS[s]
+SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+_SLOT = {entry: s for s, entry in enumerate(SLOTS)}
+
+
 def frame_matrix_from_metric(c):
-    """Upper-triangular frame coefficients f_Ia from the symmetric c matrix."""
-    f = np.zeros_like(c)
-    f[0, 0] = c[0, 0] ** -0.5
-    f[1, 1] = c[1, 1] ** -0.5
-    f[2, 2] = c[2, 2] ** -0.5
-    f[0, 1] = -f[0, 0] * c[0, 1] / c[1, 1]
-    f[1, 2] = -f[1, 1] * c[1, 2] / c[2, 2]
-    f[0, 2] = f[0, 0] * (c[0, 1] * c[1, 2] / (c[1, 1] * c[2, 2]) - c[0, 2] / c[2, 2])
+    """Upper-triangular frame coefficients f_Ia from the symmetric c, both
+    packed in SLOTS order."""
+    c11, c22, c33, c12, c23, c13 = c
+    f = np.empty_like(c)
+    f[0] = c11 ** -0.5
+    f[1] = c22 ** -0.5
+    f[2] = c33 ** -0.5
+    f[3] = -f[0] * c12 / c22
+    f[4] = -f[1] * c23 / c33
+    f[5] = f[0] * (c12 * c23 / (c22 * c33) - c13 / c33)
     return f
 
 
 def coframe_matrix_from_frame(f):
-    """h = f^{-1} in closed form (both are upper-triangular)."""
-    h = np.zeros_like(f)
-    h[0, 0] = 1.0 / f[0, 0]
-    h[1, 1] = 1.0 / f[1, 1]
-    h[2, 2] = 1.0 / f[2, 2]
-    h[0, 1] = -f[0, 1] / (f[0, 0] * f[1, 1])
-    h[1, 2] = -f[1, 2] / (f[1, 1] * f[2, 2])
-    h[0, 2] = (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2])
+    """h = f^{-1} in closed form (both upper-triangular, packed in SLOTS order)."""
+    f11, f22, f33, f12, f23, f13 = f
+    h = np.empty_like(f)
+    h[0] = 1.0 / f11
+    h[1] = 1.0 / f22
+    h[2] = 1.0 / f33
+    h[3] = -f12 / (f11 * f22)
+    h[4] = -f23 / (f22 * f33)
+    h[5] = (f12 * f23 / f22 - f13) / (f11 * f33)
     return h
 
 
-# the entries (i, j), i <= j, that fix a symmetric 3x3 matrix
-_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
-
-
-def _metric_entry(f, i, j):
-    """c_ij, i <= j, from the frame coefficients: the closed-form inverse of
-    frame_matrix_from_metric, one entry at a time."""
+def _metric_entry(f, s):
+    """Slot s of c from the packed frame coefficients: the closed-form
+    inverse of frame_matrix_from_metric, one slot at a time."""
+    i, j = SLOTS[s]
     if i == j:
-        return f[i, i] ** -2.0
+        return f[s] ** -2.0
     if j == i + 1:
-        return -f[i, j] / (f[i, i] * f[j, j] ** 2)
-    return (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2] ** 2)
+        return -f[s] / (f[i] * f[j] ** 2)
+    return (f[3] * f[4] / f[1] - f[5]) / (f[0] * f[2] ** 2)
 
 
 def kappa_fields_from_metric(p, c):
     """The three stored off-diagonal kappa fields (kappa_1^2, kappa_2^3, kappa_1^3)."""
-    k12 = (p.p1 - p.p2) * c[0, 1] / c[1, 1]
-    k23 = (p.p2 - p.p3) * c[1, 2] / c[2, 2]
-    k13 = (p.p2 - p.p1) * c[0, 1] * c[1, 2] / (c[1, 1] * c[2, 2]) + (p.p1 - p.p3) * c[0, 2] / c[2, 2]
+    c11, c22, c33, c12, c23, c13 = c
+    k12 = (p.p1 - p.p2) * c12 / c22
+    k23 = (p.p2 - p.p3) * c23 / c33
+    k13 = (p.p2 - p.p1) * c12 * c23 / (c22 * c33) + (p.p1 - p.p3) * c13 / c33
     return k12, k23, k13
 
 
@@ -228,10 +239,14 @@ def _max_abs(fields):
 class AsymptoticDataSet:
     """Exponents plus metric/frame coefficient blocks forming data on the singularity.
 
-    Construction derives f, h, and the kappa fields from (p, c), so the
-    pointwise coefficient identities hold by construction; validation checks
-    positivity, symmetry, finiteness, and the c -> f -> c round trip to
-    DATASET_REL_TOL.  The momentum residuals are NOT checked here -- data
+    c, f and h are packed, shape (6,) + grid.shape in SLOTS order: the
+    6 entries of the symmetric c and the 6 upper-triangular entries of f
+    and its inverse h.  Construction takes c in that layout only and
+    derives f, h, and the kappa fields from (p, c), so the pointwise
+    coefficient identities hold by construction; validation checks
+    positivity, finiteness, and the c -> f -> c round trip to
+    DATASET_REL_TOL.  The layout cannot hold an asymmetric c, so no symmetry
+    check exists.  The momentum residuals are NOT checked here -- data
     violating the differential constraint are legitimate objects (that is the
     point of the constraint diagnostics).
     """
@@ -240,8 +255,8 @@ class AsymptoticDataSet:
         if p.grid != grid:
             raise GridError("exponents live on a different grid")
         c = np.asarray(c, dtype=float)
-        if c.shape != (3, 3) + grid.shape:
-            raise GridError(f"c must have shape (3, 3) + grid.shape, got {c.shape}")
+        if c.shape != (6,) + grid.shape:
+            raise GridError(f"c must have the packed shape (6,) + grid.shape, got {c.shape}")
         self.grid = grid
         self.p = p
         self.c = c
@@ -253,22 +268,18 @@ class AsymptoticDataSet:
         self._validate_round_trip(scale)
 
     def _validate_metric(self):
-        """Finite, positive-diagonal and symmetric c; returns max|c|."""
+        """Finite, positive-diagonal c; returns max|c|."""
         c = self.c
-        if not all(np.isfinite(c[i, j]).all() for i, j in np.ndindex(3, 3)):
+        if not all(np.isfinite(x).all() for x in c):
             raise ConfigError("c contains non-finite entries")
         for i in range(3):
-            if np.any(c[i, i] <= 0.0):
-                bad = np.unravel_index(int(np.argmin(c[i, i])), self.grid.shape)
+            if np.any(c[i] <= 0.0):
+                bad = np.unravel_index(int(np.argmin(c[i])), self.grid.shape)
                 raise ConfigError(
                     f"c{i + 1}{i + 1} must be positive; min = "
-                    f"{float(np.min(c[i, i])):.3e} at grid index {tuple(int(v) for v in bad)}"
+                    f"{float(np.min(c[i])):.3e} at grid index {tuple(int(v) for v in bad)}"
                 )
-        scale = _max_abs(c[i, j] for i, j in np.ndindex(3, 3))
-        asym = _max_abs(c[i, j] - c[j, i] for i, j in _UPPER if i != j)
-        if asym > DATASET_REL_TOL * scale:
-            raise ConfigError(f"c is not symmetric: max|c - c^T| = {asym:.3e}")
-        return scale
+        return _max_abs(c)
 
     def _validate_round_trip(self, scale):
         err = _max_abs(self._round_trip_errors())
@@ -278,13 +289,10 @@ class AsymptoticDataSet:
             )
 
     def _round_trip_errors(self):
-        """c(f) - c, one entry at a time, with c(f) the metric that
+        """c(f) - c, one slot at a time, with c(f) the metric that
         _metric_entry rebuilds from the frame coefficients."""
-        for i, j in _UPPER:
-            back = _metric_entry(self.f, i, j)
-            yield back - self.c[i, j]
-            if i != j:
-                yield back - self.c[j, i]
+        for s in range(len(SLOTS)):
+            yield _metric_entry(self.f, s) - self.c[s]
 
     def __repr__(self):
         return f"AsymptoticDataSet(grid={self.grid!r}, eps={self.p.eps:.6g}, seam={self.seam!r})"
@@ -430,8 +438,9 @@ def assemble_dataset(
     Free 2-variable slices at x^3 = 0: c11 (default 1), kappa23 (default 0),
     kappa13 (default 0).  The remaining fields are determined by the three
     x^3 transports, then the off-diagonal c entries are recovered from the
-    kappa formulas.  On periodic grids a SeamReport records the loop-integral
-    mismatch of each transport across the x^3 seam.
+    kappa formulas.  c is assembled packed, its 6 slots in SLOTS order
+    (c11, c22, c33, c12, c23, c13).  On periodic grids a SeamReport records
+    the loop-integral mismatch of each transport across the x^3 seam.
     """
     # the transport intermediates die with the helper's frame, before f, h
     # and the kappa fields are built
@@ -454,11 +463,7 @@ def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_
     c23 = k23 * c33 / (p.p2 - p.p3)
     c13 = (k13 - (p.p2 - p.p1) * c12 * c23 / (c22 * c33)) * c33 / (p.p1 - p.p3)
 
-    c = np.empty((3, 3) + grid.shape)
-    c[0, 0], c[1, 1], c[2, 2] = c11, c22, c33
-    c[0, 1] = c[1, 0] = c12
-    c[1, 2] = c[2, 1] = c23
-    c[0, 2] = c[2, 0] = c13
+    c = np.stack([c11, c22, c33, c12, c23, c13])
 
     seam = None if c11_jump is None else SeamReport(c11_jump, k23_jump, k13_jump)
     return c, seam
@@ -482,12 +487,14 @@ def momentum_residual(data, i):
     p = (data.p.p1, data.p.p2, data.p.p3)
     # the stored kappa_i^l, l > i; kappa_i^i = -p_i
     upper = {(0, 1): data.kappa12, (1, 2): data.kappa23, (0, 2): data.kappa13}
-    log_v = np.log(data.c[0, 0]) + np.log(data.c[1, 1]) + np.log(data.c[2, 2])
+    c = data.c
+    # only the terms l > i read log V, and x^3 has none
+    log_v = np.log(c[0]) + np.log(c[1]) + np.log(c[2]) if ii < 2 else None
 
     res = np.zeros(grid.shape)
     for l in range(3):
         if l != ii:
-            dlog = fd_diff(np.log(data.c[l, l]), i, grid)
+            dlog = fd_diff(np.log(c[l]), i, grid)
             res += dlog * (p[l] - p[ii])
         if l == ii:
             res += 2.0 * fd_diff(-p[ii], i, grid)
@@ -503,8 +510,9 @@ def frame_momentum_residual(data, big_i):
     frame_I = E_I p_I + sum_J (p_J - p_I) E_I log f_JJ
               - sum_{J>=I} sum_{I<=a<=J} (p_J - p_I) h_aJ E_J f_Ia
 
-    with E_I = sum_{a>=I} f_Ia D_a.  Computed from the stored f, h blocks
-    only; the metric-form residual never enters.
+    with E_I = sum_{a>=I} f_Ia D_a.  Computed from the stored f, h slots
+    only (entry (I, a), I <= a, at slot SLOTS.index((I, a))); the
+    metric-form residual never enters.
     """
     if big_i not in (1, 2, 3):
         raise ConfigError(f"frame row must be 1..3, got {big_i}")
@@ -516,15 +524,15 @@ def frame_momentum_residual(data, big_i):
     def ee(row, arr):
         out = np.zeros(grid.shape)
         for a in range(row, 3):
-            out += f[row, a] * fd_diff(arr, a + 1, grid)
+            out += f[_SLOT[row, a]] * fd_diff(arr, a + 1, grid)
         return out
 
     res = ee(bi, p[bi])
     for j in range(3):
         if j == bi:
             continue
-        res += (p[j] - p[bi]) * ee(bi, np.log(f[j, j]))
+        res += (p[j] - p[bi]) * ee(bi, np.log(f[j]))
     for j in range(bi + 1, 3):
         for a in range(bi, j + 1):
-            res -= (p[j] - p[bi]) * h[a, j] * ee(j, f[bi, a])
+            res -= (p[j] - p[bi]) * h[_SLOT[a, j]] * ee(j, f[_SLOT[bi, a]])
     return ScalarField(grid, res)

@@ -19,6 +19,7 @@ Three families, all on periodic cubic grids:
 import numpy as np
 
 from .asymdata import (
+    SLOTS,
     AsymptoticDataSet,
     assemble_dataset,
     exponents_from_u,
@@ -69,8 +70,8 @@ def u_wave_dataset(grid, u0=2.0, u_amp=0.1, c22_amp=0.3):
 def homogeneous_dataset(grid, u0=2.0):
     """Spatially constant exponents with the identity metric block."""
     p = exponents_from_u(ScalarField(grid, np.full(grid.shape, float(u0))))
-    c = np.zeros((3, 3) + grid.shape)
-    c[0, 0] = c[1, 1] = c[2, 2] = 1.0
+    c = np.zeros((6,) + grid.shape)
+    c[:3] = 1.0  # the diagonal slots
     return AsymptoticDataSet(grid, p, c)
 
 
@@ -139,9 +140,10 @@ def random_dataset(grid, seed, u0=2.0, u_amp=0.25, diag_amp=0.3, offdiag_amp=0.2
     rng = np.random.default_rng(seed)
     u = u0 + _trig_field(grid, rng, u_amp)
     p = exponents_from_u(ScalarField(grid, u))
-    c = np.zeros((3, 3) + grid.shape)
+    c = np.empty((6,) + grid.shape)
     for i in range(3):
-        c[i, i] = np.exp(_trig_field(grid, rng, diag_amp))
+        c[i] = np.exp(_trig_field(grid, rng, diag_amp))
+    # drawn in this order, not in slot order: the seed fixes the fields
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        c[i, j] = c[j, i] = _trig_field(grid, rng, offdiag_amp)
+        c[SLOTS.index((i, j))] = _trig_field(grid, rng, offdiag_amp)
     return AsymptoticDataSet(grid, p, c)

@@ -27,6 +27,7 @@ import warnings
 
 import numpy as np
 
+from .asymdata import SLOTS
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
 from .grids import log_time_cumint
@@ -69,10 +70,11 @@ class IterateSet:
         data = self.data
         up = np.exp(data.p.as_array() * np.log(self.times.times[r]))  # t^{p_a}
         omega = np.zeros((3, 3) + data.grid.shape)
-        for i, a in np.ndindex(3, 3):
-            # entries that vanish identically stay +0.0 (h holds some as -0.0)
-            if data.h[i, a].any():
-                omega[i, a] = data.h[i, a] * up[a]
+        for s, (i, a) in enumerate(SLOTS):
+            # the lower entries, and slots of h that vanish identically (some
+            # held as -0.0), stay +0.0
+            if data.h[s].any():
+                omega[i, a] = data.h[s] * up[a]
         return omega
 
     @property
@@ -95,10 +97,11 @@ def zeroth_iterate(data, times):
     t = _broadcast_times(times, pv.ndim)
     down = np.exp(-pv * np.log(t))  # t^{-p_I}
     e = np.zeros((times.n_steps, 3, 3) + data.grid.shape)
-    for i, a in np.ndindex(3, 3):
-        # entries that vanish identically stay +0.0 (f holds some as -0.0)
-        if data.f[i, a].any():
-            e[:, i, a] = data.f[i, a] * down[:, i]
+    for s, (i, a) in enumerate(SLOTS):
+        # the lower entries, and slots of f that vanish identically (some
+        # held as -0.0), stay +0.0
+        if data.f[s].any():
+            e[:, i, a] = data.f[s] * down[:, i]
     k = np.zeros_like(e)
     diag = np.arange(3)
     k[:, diag, diag] = -pv / t

@@ -4,7 +4,11 @@ Everything here must stay implementation-independent: coordinate-space
 Christoffel assembly for curvature/connection checks, reference ODE solves
 for the integrating-factor updates, and closed forms for fixed data families.
 metric_from_coframe, perturb_offdiagonal and unchecked_exponents build test
-inputs that the library itself never needs.
+inputs that the library itself never needs.  The data set stores c, f and h
+packed, 6 slots in asymdata.SLOTS order; unpack_slots rebuilds the full 3x3
+matrix for every oracle that reads one as a matrix, and
+frame_matrix_reference / coframe_matrix_reference are the full-matrix closed
+forms the packed ones must reproduce bit for bit.
 The `*_reference` kernels are the plain formulas the optimised library
 kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
@@ -20,7 +24,7 @@ from unittest import mock
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.asymdata import DATASET_REL_TOL, AsymptoticDataSet, KasnerExponents
+from kasnerlab.asymdata import DATASET_REL_TOL, SLOTS, AsymptoticDataSet, KasnerExponents
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import _momentum_core, coframe_from_frame, spatial_ricci
 from kasnerlab.grids import LOCALIZED, fd_diff, fd_time_diff
@@ -56,6 +60,51 @@ def unchecked_exponents(grid, p1, p2, p3):
         return KasnerExponents(grid, p1, p2, p3)
 
 
+def unpack_slots(packed, symmetric):
+    """The full 3x3 matrix field of a packed c, f or h, shape (6,) + grid:
+    slot s fills entry SLOTS[s], and also its mirror when symmetric (c);
+    the lower entries of an upper-triangular matrix (f, h) are +0.0."""
+    full = np.zeros((3, 3) + packed.shape[1:])
+    for s, (i, j) in enumerate(SLOTS):
+        full[i, j] = packed[s]
+        if symmetric:
+            full[j, i] = packed[s]
+    return full
+
+
+def frame_matrix_reference(c):
+    """Upper-triangular frame coefficients f_Ia from the full symmetric c
+    matrix, every entry of the full (3, 3) + grid result written."""
+    f = np.zeros_like(c)
+    f[0, 0] = c[0, 0] ** -0.5
+    f[1, 1] = c[1, 1] ** -0.5
+    f[2, 2] = c[2, 2] ** -0.5
+    f[0, 1] = -f[0, 0] * c[0, 1] / c[1, 1]
+    f[1, 2] = -f[1, 1] * c[1, 2] / c[2, 2]
+    f[0, 2] = f[0, 0] * (c[0, 1] * c[1, 2] / (c[1, 1] * c[2, 2]) - c[0, 2] / c[2, 2])
+    return f
+
+
+def coframe_matrix_reference(f):
+    """h = f^{-1} of a full upper-triangular f matrix in closed form."""
+    h = np.zeros_like(f)
+    h[0, 0] = 1.0 / f[0, 0]
+    h[1, 1] = 1.0 / f[1, 1]
+    h[2, 2] = 1.0 / f[2, 2]
+    h[0, 1] = -f[0, 1] / (f[0, 0] * f[1, 1])
+    h[1, 2] = -f[1, 2] / (f[1, 1] * f[2, 2])
+    h[0, 2] = (f[0, 1] * f[1, 2] / f[1, 1] - f[0, 2]) / (f[0, 0] * f[2, 2])
+    return h
+
+
+def kappa_reference(p, c):
+    """(kappa_1^2, kappa_2^3, kappa_1^3) from the full symmetric c matrix."""
+    k12 = (p.p1 - p.p2) * c[0, 1] / c[1, 1]
+    k23 = (p.p2 - p.p3) * c[1, 2] / c[2, 2]
+    k13 = (p.p2 - p.p1) * c[0, 1] * c[1, 2] / (c[1, 1] * c[2, 2]) + (p.p1 - p.p3) * c[0, 2] / c[2, 2]
+    return k12, k23, k13
+
+
 def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     """Copy of data with one off-diagonal c entry perturbed by a single sine mode.
 
@@ -69,14 +118,16 @@ def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     x = grid.mesh(axis)
     c = data.c.copy()
     bump = amp * np.sin(2.0 * np.pi * x / grid.delta)
-    c[i - 1, j - 1] = c[i - 1, j - 1] + bump
-    c[j - 1, i - 1] = c[i - 1, j - 1]
+    s = SLOTS.index((min(i, j) - 1, max(i, j) - 1))
+    c[s] = c[s] + bump
     return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
 
 
 def metric_check_reference(c):
-    """AsymptoticDataSet's finiteness, positivity and symmetry checks on c
-    by whole-array formulas, with the same error texts; returns max|c|."""
+    """AsymptoticDataSet's finiteness and positivity checks on a packed c
+    by whole-array formulas on its full matrix, with the same error texts;
+    returns max|c|."""
+    c = unpack_slots(c, symmetric=True)
     if not np.all(np.isfinite(c)):
         raise ConfigError("c contains non-finite entries")
     for i in range(3):
@@ -86,11 +137,7 @@ def metric_check_reference(c):
                 f"c{i + 1}{i + 1} must be positive; min = "
                 f"{float(np.min(c[i, i])):.3e} at grid index {tuple(int(v) for v in bad)}"
             )
-    scale = float(np.max(np.abs(c)))
-    asym = float(np.max(np.abs(c - np.swapaxes(c, 0, 1))))
-    if asym > DATASET_REL_TOL * scale:
-        raise ConfigError(f"c is not symmetric: max|c - c^T| = {asym:.3e}")
-    return scale
+    return float(np.max(np.abs(c)))
 
 
 def metric_from_frame_reference(f):
@@ -106,9 +153,10 @@ def metric_from_frame_reference(f):
 
 
 def round_trip_reference(f, c, scale):
-    """AsymptoticDataSet's c -> f -> c round-trip check by whole-array
-    formulas, with the same error text."""
-    err = float(np.max(np.abs(metric_from_frame_reference(f) - c)))
+    """AsymptoticDataSet's c -> f -> c round-trip check on packed f and c
+    by whole-array formulas on their full matrices, with the same error text."""
+    back = metric_from_frame_reference(unpack_slots(f, symmetric=False))
+    err = float(np.max(np.abs(back - unpack_slots(c, symmetric=True))))
     if err > DATASET_REL_TOL * scale:
         raise ConfigError(f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}")
 
@@ -591,6 +639,7 @@ def zeroth_series_reference(data, times):
     """Closed-form level-0 series (e, omega, k), node by node: e = f t^-p,
     omega = h t^p, k = -diag(p)/t, with identically zero entries left +0.0."""
     pv = data.p.as_array()
+    f, h = unpack_slots(data.f, symmetric=False), unpack_slots(data.h, symmetric=False)
     shape = (times.n_steps, 3, 3) + data.grid.shape
     e, omega, k = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for r, t in enumerate(times.times):
@@ -600,8 +649,8 @@ def zeroth_series_reference(data, times):
         for i in range(3):
             k[r, i, i] = -pv[i] / t
             for a in range(3):
-                if data.f[i, a].any():
-                    e[r, i, a] = data.f[i, a] * down[i]
-                if data.h[i, a].any():
-                    omega[r, i, a] = data.h[i, a] * up[a]
+                if f[i, a].any():
+                    e[r, i, a] = f[i, a] * down[i]
+                if h[i, a].any():
+                    omega[r, i, a] = h[i, a] * up[a]
     return e, omega, k

@@ -16,6 +16,8 @@ import sympy as sp
 
 from kasnerlab import asymdata
 from kasnerlab.asymdata import (
+    DATASET_REL_TOL,
+    SLOTS,
     AsymptoticDataSet,
     KasnerExponents,
     assemble_dataset,
@@ -28,7 +30,7 @@ from kasnerlab.asymdata import (
     solve_kappa13,
     solve_kappa23,
 )
-from kasnerlab.errors import ConfigError, DegenerateExponentsError
+from kasnerlab.errors import ConfigError, DegenerateExponentsError, GridError
 from kasnerlab.families import (
     homogeneous_dataset,
     layered_dataset,
@@ -40,6 +42,9 @@ from kasnerlab.families import (
 from kasnerlab.grids import ScalarField, SpatialGrid
 
 from oracles import (
+    coframe_matrix_reference,
+    frame_matrix_reference,
+    kappa_reference,
     metric_check_reference,
     metric_from_frame_reference,
     ode_reference,
@@ -49,6 +54,7 @@ from oracles import (
     seam_reference,
     sympy_residual_gaps,
     unchecked_exponents,
+    unpack_slots,
 )
 
 DELTA = 2.0 * np.pi
@@ -116,42 +122,47 @@ class TestKasnerExponents:
         assert abs(p.eps - 0.1) < 1e-15
 
 
+def _random_packed(grid, seed, diag_scale, offdiag_scale):
+    """Packed slots: exp(diag_scale N(0, 1)) on the diagonal, offdiag_scale
+    N(0, 1) off it."""
+    rng = np.random.default_rng(seed)
+    packed = np.empty((6,) + grid.shape)
+    for i in range(3):
+        packed[i] = np.exp(diag_scale * rng.normal(size=grid.shape))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        packed[SLOTS.index((i, j))] = offdiag_scale * rng.normal(size=grid.shape)
+    return packed
+
+
 class TestFrameMatrices:
     def test_identity_metric_gives_identity_frames(self):
         grid = small_grid(8)
-        c = np.zeros((3, 3) + grid.shape)
-        c[0, 0] = c[1, 1] = c[2, 2] = 1.0
+        c = np.zeros((6,) + grid.shape)
+        c[:3] = 1.0
         f = frame_matrix_from_metric(c)
         h = coframe_matrix_from_frame(f)
-        eye = np.zeros_like(c)
+        eye = np.zeros((3, 3) + grid.shape)
         eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
-        assert np.array_equal(f, eye)
-        assert np.array_equal(h, eye)
+        assert np.array_equal(unpack_slots(f, symmetric=False), eye)
+        assert np.array_equal(unpack_slots(h, symmetric=False), eye)
 
     def test_round_trip_metric_frame_metric(self):
         grid = small_grid(8)
-        rng = np.random.default_rng(3)
-        c = np.zeros((3, 3) + grid.shape)
-        for i in range(3):
-            c[i, i] = np.exp(rng.normal(size=grid.shape))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            c[i, j] = c[j, i] = 0.3 * rng.normal(size=grid.shape)
+        c = _random_packed(grid, 3, 1.0, 0.3)
         f = frame_matrix_from_metric(c)
-        want = metric_from_frame_reference(f)
-        assert np.max(np.abs(want - c)) < 1e-12 * np.max(np.abs(c))
-        for i, j in asymdata._UPPER:
-            assert np.array_equal(asymdata._metric_entry(f, i, j), want[i, j])
+        want = metric_from_frame_reference(unpack_slots(f, symmetric=False))
+        full = unpack_slots(c, symmetric=True)
+        assert np.max(np.abs(want - full)) < 1e-12 * np.max(np.abs(full))
+        for s, (i, j) in enumerate(SLOTS):
+            assert np.array_equal(asymdata._metric_entry(f, s), want[i, j])
 
     def test_coframe_is_matrix_inverse(self):
         grid = small_grid(8)
-        rng = np.random.default_rng(4)
-        f = np.zeros((3, 3) + grid.shape)
-        for i in range(3):
-            f[i, i] = np.exp(0.5 * rng.normal(size=grid.shape))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            f[i, j] = rng.normal(size=grid.shape)
+        f = _random_packed(grid, 4, 0.5, 1.0)
         h = coframe_matrix_from_frame(f)
-        prod = np.einsum("ia...,ac...->ic...", f, h)
+        prod = np.einsum(
+            "ia...,ac...->ic...", unpack_slots(f, symmetric=False), unpack_slots(h, symmetric=False)
+        )
         eye = np.zeros_like(prod)
         eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
         assert np.max(np.abs(prod - eye)) < 1e-13
@@ -192,8 +203,8 @@ class TestSolveC11:
         grid = small_grid(32)
         ds = u_wave_dataset(grid)
         p = ds.p
-        expected = np.exp(-(p.p3 - p.p2) / (p.p3 - p.p1) * np.log(ds.c[1, 1]))
-        assert np.max(np.abs(ds.c[0, 0] - expected)) < 1e-4
+        expected = np.exp(-(p.p3 - p.p2) / (p.p3 - p.p1) * np.log(ds.c[1]))
+        assert np.max(np.abs(ds.c[0] - expected)) < 1e-4
 
     def test_rejects_nonpositive_c22(self):
         grid = small_grid()
@@ -374,7 +385,7 @@ class TestResidualEquivalence:
         ds = random_dataset(grid, seed=11)
         frame = np.stack([frame_momentum_residual(ds, i).values for i in (1, 2, 3)])
         mom = np.stack([momentum_residual(ds, i).values for i in (1, 2, 3)])
-        combo = -0.5 * np.einsum("ia...,a...->i...", ds.f, mom)
+        combo = -0.5 * np.einsum("ia...,a...->i...", unpack_slots(ds.f, symmetric=False), mom)
         scale = np.max(np.abs(frame))
         rel = np.max(np.abs(frame - combo)) / scale
         assert rel <= 1e-6 + 10.0 * grid.h**4
@@ -386,7 +397,7 @@ class TestResidualEquivalence:
         ds = random_dataset(grid, seed=5)
         frame3 = frame_momentum_residual(ds, 3).values
         mom3 = momentum_residual(ds, 3).values
-        gap = frame3 + 0.5 * ds.f[2, 2] * mom3
+        gap = frame3 + 0.5 * ds.f[2] * mom3
         assert np.max(np.abs(gap)) < 1e-12 * np.max(np.abs(frame3))
 
     def test_homogeneous_zero(self):
@@ -399,7 +410,7 @@ class TestResidualEquivalence:
         bad = perturb_offdiagonal(u_wave_dataset(grid), amp=0.01, entry=(1, 2), axis=2)
         frame = np.stack([frame_momentum_residual(bad, i).values for i in (1, 2, 3)])
         mom = np.stack([momentum_residual(bad, i).values for i in (1, 2, 3)])
-        combo = -0.5 * np.einsum("ia...,a...->i...", bad.f, mom)
+        combo = -0.5 * np.einsum("ia...,a...->i...", unpack_slots(bad.f, symmetric=False), mom)
         scale = np.max(np.abs(frame))
         assert scale > 1e-4  # the perturbation actually lights up
         assert np.max(np.abs(frame - combo)) / scale <= 1e-6 + 10.0 * grid.h**4
@@ -423,8 +434,8 @@ class TestAssembleDataset:
         grid = small_grid()
         p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
         ds = assemble_dataset(p, c22=1.0, c33=1.0)
-        assert np.all(ds.c[0, 0] == 1.0)
-        assert np.all(ds.c[0, 1] == 0.0)
+        assert np.all(ds.c[0] == 1.0)
+        assert np.all(ds.c[SLOTS.index((0, 1))] == 0.0)
         assert np.all(ds.kappa13 == 0.0)
         assert ds.seam is not None and ds.seam.max_jump == 0.0
 
@@ -448,7 +459,7 @@ class TestAssembleDataset:
         # level, measured 1.9e-7 at n=24 and falling at 4th order
         assert ds.seam.kappa13_jump < 1e-6
         assert np.all(ds.kappa23 == 0.0)
-        assert np.all(ds.c[0, 1] == 0.0)
+        assert np.all(ds.c[SLOTS.index((0, 1))] == 0.0)
         assert np.max(np.abs(ds.kappa13)) < 1e-6
 
     def test_seam_matches_reevaluated_right_sides_bitwise(self):
@@ -462,7 +473,7 @@ class TestAssembleDataset:
         c33 = np.exp(0.2 * np.cos(x1 + x2 + x3))
         kappa12 = 0.1 * np.sin(x1 + 2.0 * x2) * np.cos(x3) + np.zeros(grid.shape)
         ds = assemble_dataset(p, c22, c33, kappa12)
-        want = seam_reference(p, ds.c[0, 0], c22, c33, kappa12)
+        want = seam_reference(p, ds.c[0], c22, c33, kappa12)
         got = (ds.seam.c11_jump, ds.seam.kappa23_jump, ds.seam.kappa13_jump)
         assert got == want
         assert min(got) > 1e-3
@@ -487,15 +498,14 @@ class TestAssembleDataset:
         for i in (1, 2, 3):
             assert np.all(momentum_residual(ds, i).values == 0.0)
         for pair in ((0, 1), (0, 2), (1, 2)):
-            assert np.max(np.abs(ds.c[pair])) > 1e-3
-        assert np.ptp(ds.c[0, 0]) > 0.1
+            assert np.max(np.abs(ds.c[SLOTS.index(pair)])) > 1e-3
+        assert np.ptp(ds.c[0]) > 0.1
 
     def test_random_dataset_type_invariants(self):
         grid = small_grid(16)
         ds = random_dataset(grid, seed=23)
-        assert np.all(ds.c[0, 0] > 0)
-        assert np.array_equal(ds.c, np.swapaxes(ds.c, 0, 1))
-        k12 = (ds.p.p1 - ds.p.p2) * ds.c[0, 1] / ds.c[1, 1]
+        assert np.all(ds.c[0] > 0)
+        k12 = (ds.p.p1 - ds.p.p2) * ds.c[SLOTS.index((0, 1))] / ds.c[1]
         assert np.max(np.abs(ds.kappa12 - k12)) < 1e-10
         # differential constraint deliberately violated
         assert np.max(np.abs(momentum_residual(ds, 1).values)) > 1e-3
@@ -508,19 +518,11 @@ class TestAssembleDataset:
             c22=ScalarField(grid, np.ones(grid.shape)),
             c33=ScalarField(grid, np.ones(grid.shape)),
         )
-        assert np.all(ds.c[1, 1] == 1.0)
-
-    def test_dataset_rejects_tampered_symmetry(self):
-        grid = small_grid()
-        ds = homogeneous_dataset(grid)
-        c = ds.c.copy()
-        c[0, 1] += 1e-3
-        with pytest.raises(ConfigError):
-            AsymptoticDataSet(grid, ds.p, c)
+        assert np.all(ds.c[1] == 1.0)
 
 
 def _set(c, i, j, value, point=(1, 2, 3)):
-    c[(i, j) + point] = value
+    c[(SLOTS.index((i, j)),) + point] = value
 
 
 class TestDataSetValidation:
@@ -531,10 +533,8 @@ class TestDataSetValidation:
             lambda c: _set(c, 0, 2, -np.inf),
             lambda c: _set(c, 1, 1, -0.5),
             lambda c: _set(c, 2, 2, 0.0),
-            lambda c: _set(c, 0, 2, c[(0, 2, 1, 2, 3)] + 1e-3),
-            lambda c: _set(c, 2, 1, c[(2, 1, 1, 2, 3)] - 1e-3),
         ],
-        ids=["nan", "inf", "negative_c22", "zero_c33", "asymmetric_c13", "asymmetric_c32"],
+        ids=["nan", "inf", "negative_c22", "zero_c33"],
     )
     def test_error_text_matches_whole_array_checks(self, tamper):
         grid = small_grid(8)
@@ -555,7 +555,7 @@ class TestDataSetValidation:
 
         def skewed_frame(c):
             f = frame(c)
-            f[entry + (1, 2, 3)] *= 1.01
+            f[(SLOTS.index(entry), 1, 2, 3)] *= 1.01
             return f
 
         monkeypatch.setattr(asymdata, "frame_matrix_from_metric", skewed_frame)
@@ -565,29 +565,68 @@ class TestDataSetValidation:
             AsymptoticDataSet(grid, ds.p, ds.c)
         assert str(got.value) == str(want.value)
 
-    def test_round_trip_reads_both_mirrored_entries(self, monkeypatch):
-        # c13 - c31 = 0.6 of the tolerance passes the symmetry check; a frame
-        # entry moved to put c(f)_13 0.6 of the tolerance above c13 leaves
-        # c(f)_13 - c31 at 1.2 of it, so only the mirrored entry fails
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("share, fails", [(1.2, True), (0.8, False)])
+    def test_round_trip_reads_every_slot_at_its_tolerance(self, monkeypatch, slot, share, fails):
+        # a frame built from c with one slot moved by `share` of the
+        # tolerance: the round trip must fail beyond it and pass within it
         grid = small_grid(8)
         ds = random_dataset(grid, seed=2)
-        point = (1, 2, 3)
-        shift = 0.6 * asymdata.DATASET_REL_TOL * metric_check_reference(ds.c)
-        c = ds.c.copy()
-        c[(2, 0) + point] -= shift
+        shift = share * DATASET_REL_TOL * metric_check_reference(ds.c)
         frame = asymdata.frame_matrix_from_metric
 
         def shifted_frame(c):
-            f = frame(c)
-            f[(0, 2) + point] -= shift * f[(0, 0) + point] * f[(2, 2) + point] ** 2
-            return f
+            moved = c.copy()
+            moved[slot, 1, 2, 3] += shift
+            return frame(moved)
 
         monkeypatch.setattr(asymdata, "frame_matrix_from_metric", shifted_frame)
+        if not fails:
+            AsymptoticDataSet(grid, ds.p, ds.c)
+            return
         with pytest.raises(ConfigError) as want:
-            round_trip_reference(shifted_frame(c), c, metric_check_reference(c))
+            round_trip_reference(shifted_frame(ds.c), ds.c, metric_check_reference(ds.c))
         with pytest.raises(ConfigError, match="^metric/frame round trip failed") as got:
-            AsymptoticDataSet(grid, ds.p, c)
+            AsymptoticDataSet(grid, ds.p, ds.c)
         assert str(got.value) == str(want.value)
+
+    def test_rejects_a_full_matrix_by_its_shape(self):
+        # the packed layout cannot hold an asymmetric c; a (3, 3) c is refused
+        grid = small_grid(8)
+        ds = random_dataset(grid, seed=2)
+        text = r"^c must have the packed shape \(6,\) \+ grid.shape, got \(3, 3, 8, 8, 8\)$"
+        with pytest.raises(GridError, match=text):
+            AsymptoticDataSet(grid, ds.p, unpack_slots(ds.c, symmetric=True))
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            homogeneous_dataset,
+            u_wave_dataset,
+            layered_dataset,
+            lambda grid: random_dataset(grid, seed=3),
+        ],
+        ids=["homogeneous", "u-wave", "layered", "random"],
+    )
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_slots_equal_the_full_matrix_closed_forms_bitwise(self, family, n):
+        # tobytes also tells +0.0 from -0.0
+        ds = family(small_grid(n))
+        c = unpack_slots(ds.c, symmetric=True)
+        f = frame_matrix_reference(c)
+        assert unpack_slots(ds.f, symmetric=False).tobytes() == f.tobytes()
+        assert unpack_slots(ds.h, symmetric=False).tobytes() == coframe_matrix_reference(f).tobytes()
+        for got, want in zip((ds.kappa12, ds.kappa23, ds.kappa13), kappa_reference(ds.p, c)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_dataset_holds_each_independent_entry_once(self):
+        # c 6, f 6, h 6, kappa 3, p 3: no mirrored or zero entry is stored
+        grid = small_grid(8)
+        ds = random_dataset(grid, seed=0)
+        held = sum(a.nbytes for obj in (ds, ds.p) for a in vars(obj).values() if isinstance(a, np.ndarray))
+        assert held == 24 * np.zeros(grid.shape).nbytes
 
 
 def _working_fields(call, grid):

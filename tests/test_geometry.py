@@ -42,6 +42,7 @@ from oracles import (
     second_fundamental_from_frame,
     spacetime_ricci_reference,
     spatial_ricci_reference,
+    unpack_slots,
 )
 
 DELTA = 2.0 * np.pi
@@ -97,7 +98,8 @@ def _nan_at(a, index):
 def _dataset_with_nan_frame(grid, monkeypatch):
     data = random_dataset(grid, seed=0)
     frame = asymdata.frame_matrix_from_metric
-    monkeypatch.setattr(asymdata, "frame_matrix_from_metric", lambda c: _nan_at(frame(c), (0, 1, 2, 5, 1)))
+    slot = asymdata.SLOTS.index((0, 1))
+    monkeypatch.setattr(asymdata, "frame_matrix_from_metric", lambda c: _nan_at(frame(c), (slot, 2, 5, 1)))
     return asymdata.AsymptoticDataSet(grid, data.p, data.c)
 
 
@@ -136,8 +138,8 @@ class TestCoframe:
         ds = u_wave_dataset(grid)
         pv = ds.p.as_array()
         t = 0.7
-        e0 = ds.f * t ** (-pv[:, None])
-        om0 = ds.h * t ** pv[None, :]
+        e0 = unpack_slots(ds.f, symmetric=False) * t ** (-pv[:, None])
+        om0 = unpack_slots(ds.h, symmetric=False) * t ** pv[None, :]
         om = coframe_from_frame(e0)
         assert np.max(np.abs(om - om0)) < 1e-12 * np.max(np.abs(om0))
 

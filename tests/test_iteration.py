@@ -20,6 +20,7 @@ from oracles import (
     ode_reference,
     spatial_ricci_reference,
     tower_reference,
+    unpack_slots,
     zeroth_series_reference,
 )
 
@@ -160,8 +161,9 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
     the gap from node 1 on is the log-time trapezoid's alone."""
     grid = SpatialGrid(DELTA, 8)
     p = homogeneous_dataset(grid).p
-    c = np.array([[1.0, 0.2, 0.15], [0.2, 1.0, -0.1], [0.15, -0.1, 1.0]])
-    data = AsymptoticDataSet(grid, p, c[:, :, None, None, None] * np.ones(grid.shape))
+    c = np.array([1.0, 1.0, 1.0, 0.2, -0.1, 0.15])  # c11, c22, c33, c12, c23, c13
+    data = AsymptoticDataSet(grid, p, c[:, None, None, None] * np.ones(grid.shape))
+    f = unpack_slots(data.f, symmetric=False)
     times = LogTimeGrid(1e-4, 1e-1, m)
     t = times.times
     zeroth = zeroth_iterate(data, times)
@@ -188,7 +190,7 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
         gaps_k.append(gap(y, w, lambda s: -p_i * w(s)))
         w_i = lambda s: delta[i] * s ** (beta - 1.0)
         for a in range(i, 3):
-            f_ia = float(data.f[i, a, 0, 0, 0])
+            f_ia = float(f[i, a, 0, 0, 0])
             y = t[:, None, None, None] ** p_i * (e_n[:, i, a] - zeroth.e[:, i, a])
             gaps_e.append(gap(y, w_i, lambda s: f_ia * w_i(s)))
     return max(gaps_k), max(gaps_e)
