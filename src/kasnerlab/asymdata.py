@@ -154,7 +154,6 @@ def exponents_from_u(u):
 # the entries (i, j), i <= j, that fix a symmetric or an upper-triangular
 # 3x3 matrix: slot s of a packed c, f or h holds entry SLOTS[s]
 SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
-_SLOT = {entry: s for s, entry in enumerate(SLOTS)}
 
 
 def frame_matrix_from_metric(c):
@@ -524,7 +523,7 @@ def frame_momentum_residual(data, big_i):
     def ee(row, arr):
         out = np.zeros(grid.shape)
         for a in range(row, 3):
-            out += f[_SLOT[row, a]] * fd_diff(arr, a + 1, grid)
+            out += f[SLOTS.index((row, a))] * fd_diff(arr, a + 1, grid)
         return out
 
     res = ee(bi, p[bi])
@@ -534,5 +533,5 @@ def frame_momentum_residual(data, big_i):
         res += (p[j] - p[bi]) * ee(bi, np.log(f[j]))
     for j in range(bi + 1, 3):
         for a in range(bi, j + 1):
-            res -= (p[j] - p[bi]) * h[_SLOT[a, j]] * ee(j, f[_SLOT[bi, a]])
+            res -= (p[j] - p[bi]) * h[SLOTS.index((a, j))] * ee(j, f[SLOTS.index((bi, a))])
     return ScalarField(grid, res)

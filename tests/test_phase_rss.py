@@ -1,8 +1,6 @@
-"""The phase-RSS tool sets kbench/run.py's pins, runs each workload once at
-small n and reports a peak RSS per phase that never falls, as a high-water
-mark must."""
+"""The phase-RSS tool runs each workload once at small n and reports a peak
+RSS per phase that never falls, as a high-water mark must."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,19 +11,6 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "phase_rss.py")
 PHASES = ["import", "setup", "run", "check", "digest"]
-
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_pins_are_the_benchmark_runners():
-    tool, run = _load("phase_rss", TOOL), _load("kbench_run", os.path.join(ROOT, "kbench", "run.py"))
-    for name in ("THREAD_VARS", "_M_TRIM_THRESHOLD", "_M_MMAP_MAX"):
-        assert getattr(tool, name) == getattr(run, name), name
 
 
 @pytest.mark.parametrize("workload", ["transport_n96", "health_random24", "tower_uwave32"])

@@ -1,6 +1,6 @@
 """Peak RSS of one benchmark repetition after each of its phases.
 
-    python3 tools/phase_rss.py --workload transport_n96 [--n 48] [--seed 0]
+    python3 tools/phase_rss.py --workload transport_n96 [--n 48]
 
 Runs panel member 0 of one workload of kbench/workloads.py once, in this
 fresh process, with the pins kbench/run.py sets before it imports the
@@ -16,24 +16,12 @@ value is the one that sets the workload's peak_rss_mb.
 """
 
 import argparse
-import ctypes
 import json
 import os
 import resource
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4  # glibc mallopt parameters, as in kbench/run.py
-
-
-def pin_allocator():
-    """kbench/run.py's allocator pins; returns whether both took effect."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # not glibc
-        return False
-    return mallopt(_M_MMAP_MAX, 0) == 1 and mallopt(_M_TRIM_THRESHOLD, 2**31 - 1) == 1
 
 
 def peak_mb():
@@ -41,10 +29,12 @@ def peak_mb():
 
 
 def main(argv=None):
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "kbench")]
+    from run import THREAD_VARS, pin_allocator  # stdlib only; the library is not imported yet
+
     for var in THREAD_VARS:
         os.environ[var] = "1"
     pinned = pin_allocator()
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "kbench")]
     import workloads
 
     parser = argparse.ArgumentParser(
@@ -52,14 +42,13 @@ def main(argv=None):
     )
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--n", type=int, help="grid size (default: the workload's)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     wl = workloads.WORKLOADS[args.workload]
     if args.n is not None:
         wl = type(wl)(args.n)
     rss = {"import": peak_mb()}
-    inputs = wl.setup(args.seed, 0)
+    inputs = wl.setup(0, 0)
     rss["setup"] = peak_mb()
     out = wl.run(inputs)
     rss["run"] = peak_mb()
