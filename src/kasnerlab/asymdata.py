@@ -1,9 +1,11 @@
 """Asymptotic data on the singularity.
 
 Builds and validates the data that parametrize a Kasner-like singularity:
-position-dependent exponents p_i, leading metric coefficients c_ij, the
-upper-triangular frame matrix f_Ia with its inverse h_aC, and the kappa
-fields that encode the off-diagonal momentum content.  The differential
+position-dependent exponents p_i, leading metric coefficients c_ij and the
+upper-triangular frame matrix f_Ia.  A data set stores p, c and f only.  The
+coframe h = f^{-1} and the kappa fields that encode the off-diagonal
+momentum content are closed forms of (p, c); each entry is formed where it
+is read (_coframe_entry, _kappa_entry) and never stored.  The differential
 constraint is enforced by integrating transport equations along x^3 lines;
 the free inputs are three 3-variable functions (c22, c33, kappa_1^2) and
 three 2-variable slices at x^3 = 0 (c11, kappa_2^3, kappa_1^3), matching
@@ -11,13 +13,14 @@ the degrees-of-freedom count of the underlying existence argument.
 
 Conventions
 -----------
-The symmetric c and the upper-triangular f and h are stored packed, each
+The symmetric c and the upper-triangular f are stored packed, each
 independent entry once: an ndarray of shape (6,) + grid.shape whose slot s
 holds entry SLOTS[s] = (i, j), i <= j, 0-based, in the order 00, 11, 22,
-01, 12, 02 (so slot i < 3 is the diagonal entry ii).  No other layout
-exists: the mirrored entries of c and the zero lower entries of f and h are
-never stored.  Public operations that take a direction use 1-based labels
-i, I in {1,2,3} to match the coordinate names x^1, x^2, x^3.
+01, 12, 02 (so slot i < 3 is the diagonal entry ii); slot s of h, formed
+by _coframe_entry, is entry SLOTS[s] too.  No other layout exists: the
+mirrored entries of c and the zero lower entries of f are never stored.
+Public operations that take a direction use 1-based labels i, I in {1,2,3}
+to match the coordinate names x^1, x^2, x^3.
 
 Residual conventions, with V = c11*c22*c33 and D_a the grid derivative:
 
@@ -95,7 +98,8 @@ class KasnerExponents:
         sum2 = self.p1**2 + self.p2**2 + self.p3**2
         err1 = float(np.max(np.abs(sum1 - 1.0)))
         err2 = float(np.max(np.abs(sum2 - 1.0)))
-        if err1 > ALGEBRAIC_TOL or err2 > ALGEBRAIC_TOL:
+        # NaN-safe: a NaN error must fail here, not pass on to the ordering
+        if not (err1 <= ALGEBRAIC_TOL and err2 <= ALGEBRAIC_TOL):
             raise ConfigError(
                 "exponent relations violated: max|p1+p2+p3-1| = "
                 f"{err1:.3e}, max|p1^2+p2^2+p3^2-1| = {err2:.3e} "
@@ -170,19 +174,6 @@ def frame_matrix_from_metric(c):
     return f
 
 
-def coframe_matrix_from_frame(f):
-    """h = f^{-1} in closed form (both upper-triangular, packed in SLOTS order)."""
-    f11, f22, f33, f12, f23, f13 = f
-    h = np.empty_like(f)
-    h[0] = 1.0 / f11
-    h[1] = 1.0 / f22
-    h[2] = 1.0 / f33
-    h[3] = -f12 / (f11 * f22)
-    h[4] = -f23 / (f22 * f33)
-    h[5] = (f12 * f23 / f22 - f13) / (f11 * f33)
-    return h
-
-
 def _metric_entry(f, s):
     """Slot s of c from the packed frame coefficients: the closed-form
     inverse of frame_matrix_from_metric, one slot at a time."""
@@ -194,13 +185,23 @@ def _metric_entry(f, s):
     return (f[3] * f[4] / f[1] - f[5]) / (f[0] * f[2] ** 2)
 
 
-def kappa_fields_from_metric(p, c):
-    """The three stored off-diagonal kappa fields (kappa_1^2, kappa_2^3, kappa_1^3)."""
-    c11, c22, c33, c12, c23, c13 = c
-    k12 = (p.p1 - p.p2) * c12 / c22
-    k23 = (p.p2 - p.p3) * c23 / c33
-    k13 = (p.p2 - p.p1) * c12 * c23 / (c22 * c33) + (p.p1 - p.p3) * c13 / c33
-    return k12, k23, k13
+def _coframe_entry(f, s):
+    """Slot s of h = f^{-1} from the packed frame coefficients, in closed
+    form, one slot at a time."""
+    i, j = SLOTS[s]
+    if i == j:
+        return 1.0 / f[s]
+    if j == i + 1:
+        return -f[s] / (f[i] * f[j])
+    return (f[3] * f[4] / f[1] - f[5]) / (f[0] * f[2])
+
+
+def _kappa_entry(p, c, i, l):
+    """The off-diagonal kappa_i^l, i < l (0-based), from the exponent fields
+    p = (p1, p2, p3) and the packed c."""
+    if l == i + 1:
+        return (p[i] - p[l]) * c[SLOTS.index((i, l))] / c[l]
+    return (p[1] - p[0]) * c[3] * c[4] / (c[1] * c[2]) + (p[0] - p[2]) * c[5] / c[2]
 
 
 class SeamReport:
@@ -238,11 +239,13 @@ def _max_abs(fields):
 class AsymptoticDataSet:
     """Exponents plus metric/frame coefficient blocks forming data on the singularity.
 
-    c, f and h are packed, shape (6,) + grid.shape in SLOTS order: the
-    6 entries of the symmetric c and the 6 upper-triangular entries of f
-    and its inverse h.  Construction takes c in that layout only and
-    derives f, h, and the kappa fields from (p, c), so the pointwise
-    coefficient identities hold by construction; validation checks
+    Holds grid, p, c, f and seam, and nothing else.  c and f are packed,
+    shape (6,) + grid.shape in SLOTS order: the 6 entries of the symmetric c
+    and the 6 upper-triangular entries of f.  Construction takes c in that
+    layout only and derives f from it, so the pointwise coefficient
+    identities hold by construction.  The coframe h and the kappa fields are
+    not stored: readers form each entry where they read it, by
+    _coframe_entry and _kappa_entry.  Validation checks
     positivity, finiteness, and the c -> f -> c round trip to
     DATASET_REL_TOL.  The layout cannot hold an asymmetric c, so no symmetry
     check exists.  The momentum residuals are NOT checked here -- data
@@ -261,8 +264,6 @@ class AsymptoticDataSet:
         self.c = c
         scale = self._validate_metric()
         self.f = frame_matrix_from_metric(c)
-        self.h = coframe_matrix_from_frame(self.f)
-        self.kappa12, self.kappa23, self.kappa13 = kappa_fields_from_metric(p, c)
         self.seam = seam
         self._validate_round_trip(scale)
 
@@ -441,8 +442,8 @@ def assemble_dataset(
     (c11, c22, c33, c12, c23, c13).  On periodic grids a SeamReport records
     the loop-integral mismatch of each transport across the x^3 seam.
     """
-    # the transport intermediates die with the helper's frame, before f, h
-    # and the kappa fields are built
+    # the transport intermediates die with the helper's frame, before f is
+    # built
     c, seam = _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice)
     return AsymptoticDataSet(p.grid, p, c, seam=seam)
 
@@ -484,8 +485,6 @@ def momentum_residual(data, i):
     grid = data.grid
     ii = i - 1
     p = (data.p.p1, data.p.p2, data.p.p3)
-    # the stored kappa_i^l, l > i; kappa_i^i = -p_i
-    upper = {(0, 1): data.kappa12, (1, 2): data.kappa23, (0, 2): data.kappa13}
     c = data.c
     # only the terms l > i read log V, and x^3 has none
     log_v = np.log(c[0]) + np.log(c[1]) + np.log(c[2]) if ii < 2 else None
@@ -498,8 +497,12 @@ def momentum_residual(data, i):
         if l == ii:
             res += 2.0 * fd_diff(-p[ii], i, grid)
         if l > ii:
-            res += 2.0 * fd_diff(upper[ii, l], l + 1, grid)
-            res += fd_diff(log_v, l + 1, grid) * upper[ii, l]
+            # kappa_i^l, formed here and freed before the next one is
+            # formed; kappa_i^i = -p_i
+            kappa = _kappa_entry(p, c, ii, l)
+            res += 2.0 * fd_diff(kappa, l + 1, grid)
+            res += fd_diff(log_v, l + 1, grid) * kappa
+            del kappa
     return ScalarField(grid, res)
 
 
@@ -509,16 +512,17 @@ def frame_momentum_residual(data, big_i):
     frame_I = E_I p_I + sum_J (p_J - p_I) E_I log f_JJ
               - sum_{J>=I} sum_{I<=a<=J} (p_J - p_I) h_aJ E_J f_Ia
 
-    with E_I = sum_{a>=I} f_Ia D_a.  Computed from the stored f, h slots
-    only (entry (I, a), I <= a, at slot SLOTS.index((I, a))); the
-    metric-form residual never enters.
+    with E_I = sum_{a>=I} f_Ia D_a.  Computed from the stored f slots
+    (entry (I, a), I <= a, at slot SLOTS.index((I, a))) and the h slots,
+    each formed from f by _coframe_entry where it is read; the metric-form
+    residual never enters.
     """
     if big_i not in (1, 2, 3):
         raise ConfigError(f"frame row must be 1..3, got {big_i}")
     grid = data.grid
     bi = big_i - 1
     p = (data.p.p1, data.p.p2, data.p.p3)
-    f, h = data.f, data.h
+    f = data.f
 
     def ee(row, arr):
         out = np.zeros(grid.shape)
@@ -533,5 +537,7 @@ def frame_momentum_residual(data, big_i):
         res += (p[j] - p[bi]) * ee(bi, np.log(f[j]))
     for j in range(bi + 1, 3):
         for a in range(bi, j + 1):
-            res -= (p[j] - p[bi]) * h[SLOTS.index((a, j))] * ee(j, f[SLOTS.index((bi, a))])
+            # (p_J - p_I) h_aJ, with h_aJ formed here
+            weight = (p[j] - p[bi]) * _coframe_entry(f, SLOTS.index((a, j)))
+            res -= weight * ee(j, f[SLOTS.index((bi, a))])
     return ScalarField(grid, res)

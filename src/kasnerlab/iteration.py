@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .asymdata import SLOTS
+from .asymdata import SLOTS, _coframe_entry
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
 from .grids import log_time_cumint
@@ -64,17 +64,19 @@ class IterateSet:
         return self.data.grid
 
     def coframe_at(self, r):
-        """Coframe at node r: h t^p at level 0, the inverse of e[r] above."""
+        """Coframe at node r: the inverse of e[r] above level 0; at level 0
+        h t^p, each slot of h formed here from the data set's f."""
         if self.n > 0:
             return coframe_from_frame(self.e[r])
         data = self.data
         up = np.exp(data.p.as_array() * np.log(self.times.times[r]))  # t^{p_a}
         omega = np.zeros((3, 3) + data.grid.shape)
         for s, (i, a) in enumerate(SLOTS):
+            h = _coframe_entry(data.f, s)
             # the lower entries, and slots of h that vanish identically (some
-            # held as -0.0), stay +0.0
-            if data.h[s].any():
-                omega[i, a] = data.h[s] * up[a]
+            # formed as -0.0), stay +0.0
+            if h.any():
+                omega[i, a] = h * up[a]
         return omega
 
     @property

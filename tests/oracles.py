@@ -109,7 +109,8 @@ def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     """Copy of data with one off-diagonal c entry perturbed by a single sine mode.
 
     Breaks the differential constraint while keeping every type-level
-    identity (kappa, f, h are rebuilt from the perturbed c).
+    identity (f is rebuilt from the perturbed c, and h and kappa are formed
+    from it where they are read).
     """
     i, j = entry
     if i == j:
@@ -639,7 +640,8 @@ def zeroth_series_reference(data, times):
     """Closed-form level-0 series (e, omega, k), node by node: e = f t^-p,
     omega = h t^p, k = -diag(p)/t, with identically zero entries left +0.0."""
     pv = data.p.as_array()
-    f, h = unpack_slots(data.f, symmetric=False), unpack_slots(data.h, symmetric=False)
+    f = unpack_slots(data.f, symmetric=False)
+    h = coframe_matrix_reference(f)
     shape = (times.n_steps, 3, 3) + data.grid.shape
     e, omega, k = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for r, t in enumerate(times.times):

@@ -21,7 +21,6 @@ from kasnerlab.asymdata import (
     AsymptoticDataSet,
     KasnerExponents,
     assemble_dataset,
-    coframe_matrix_from_frame,
     exponents_from_u,
     frame_matrix_from_metric,
     frame_momentum_residual,
@@ -108,6 +107,19 @@ class TestKasnerExponents:
         with pytest.raises(ConfigError, match="ScalarField"):
             exponents_from_u(np.full(grid.shape, 2.0))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["p1", "p3"])
+    def test_non_finite_exponent_fails_the_relations(self, name, value):
+        # a NaN must fail the relation check as inf does, and not pass on to
+        # the ordering check, which finds no misordered point for it
+        grid = small_grid(8)
+        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        fields = {"p1": p.p1.copy(), "p2": p.p2, "p3": p.p3.copy()}
+        fields[name][1, 2, 3] = value
+        with pytest.raises(ConfigError, match="^exponent relations violated") as err:
+            KasnerExponents(grid, **fields)
+        assert f"max|p1+p2+p3-1| = {value:.3e}," in str(err.value)
+
     def test_degeneracy_guard_near_one(self):
         grid = small_grid()
         # u = 1e5 drives 1 - p3 = 1/(1 + u + u^2) ~ 1e-10 below the 1e-8 floor
@@ -120,6 +132,19 @@ class TestKasnerExponents:
             grid, np.full(grid.shape, -0.3), np.full(grid.shape, 0.5), np.full(grid.shape, 0.9)
         )
         assert abs(p.eps - 0.1) < 1e-15
+
+
+def _coframe_slots(f):
+    """Every slot of h = f^{-1}, each formed by the library's per-entry
+    helper, stacked in SLOTS order."""
+    return np.stack([asymdata._coframe_entry(f, s) for s in range(len(SLOTS))])
+
+
+def _kappa_fields(ds):
+    """(kappa_1^2, kappa_2^3, kappa_1^3), each formed by the library's
+    per-entry helper."""
+    p = (ds.p.p1, ds.p.p2, ds.p.p3)
+    return tuple(asymdata._kappa_entry(p, ds.c, i, l) for i, l in ((0, 1), (1, 2), (0, 2)))
 
 
 def _random_packed(grid, seed, diag_scale, offdiag_scale):
@@ -140,7 +165,7 @@ class TestFrameMatrices:
         c = np.zeros((6,) + grid.shape)
         c[:3] = 1.0
         f = frame_matrix_from_metric(c)
-        h = coframe_matrix_from_frame(f)
+        h = _coframe_slots(f)
         eye = np.zeros((3, 3) + grid.shape)
         eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
         assert np.array_equal(unpack_slots(f, symmetric=False), eye)
@@ -159,7 +184,7 @@ class TestFrameMatrices:
     def test_coframe_is_matrix_inverse(self):
         grid = small_grid(8)
         f = _random_packed(grid, 4, 0.5, 1.0)
-        h = coframe_matrix_from_frame(f)
+        h = _coframe_slots(f)
         prod = np.einsum(
             "ia...,ac...->ic...", unpack_slots(f, symmetric=False), unpack_slots(h, symmetric=False)
         )
@@ -436,7 +461,7 @@ class TestAssembleDataset:
         ds = assemble_dataset(p, c22=1.0, c33=1.0)
         assert np.all(ds.c[0] == 1.0)
         assert np.all(ds.c[SLOTS.index((0, 1))] == 0.0)
-        assert np.all(ds.kappa13 == 0.0)
+        assert np.all(_kappa_fields(ds)[2] == 0.0)
         assert ds.seam is not None and ds.seam.max_jump == 0.0
 
     def test_localized_grid_has_no_seam(self):
@@ -458,9 +483,10 @@ class TestAssembleDataset:
         # stencil-vs-closed-form mismatch of the c33 profile; truncation
         # level, measured 1.9e-7 at n=24 and falling at 4th order
         assert ds.seam.kappa13_jump < 1e-6
-        assert np.all(ds.kappa23 == 0.0)
+        _, kappa23, kappa13 = _kappa_fields(ds)
+        assert np.all(kappa23 == 0.0)
         assert np.all(ds.c[SLOTS.index((0, 1))] == 0.0)
-        assert np.max(np.abs(ds.kappa13)) < 1e-6
+        assert np.max(np.abs(kappa13)) < 1e-6
 
     def test_seam_matches_reevaluated_right_sides_bitwise(self):
         # every input varies along every axis, so all three loop integrals
@@ -506,7 +532,7 @@ class TestAssembleDataset:
         ds = random_dataset(grid, seed=23)
         assert np.all(ds.c[0] > 0)
         k12 = (ds.p.p1 - ds.p.p2) * ds.c[SLOTS.index((0, 1))] / ds.c[1]
-        assert np.max(np.abs(ds.kappa12 - k12)) < 1e-10
+        assert np.max(np.abs(_kappa_fields(ds)[0] - k12)) < 1e-10
         # differential constraint deliberately violated
         assert np.max(np.abs(momentum_residual(ds, 1).values)) > 1e-3
 
@@ -617,16 +643,18 @@ class TestPackedLayout:
         c = unpack_slots(ds.c, symmetric=True)
         f = frame_matrix_reference(c)
         assert unpack_slots(ds.f, symmetric=False).tobytes() == f.tobytes()
-        assert unpack_slots(ds.h, symmetric=False).tobytes() == coframe_matrix_reference(f).tobytes()
-        for got, want in zip((ds.kappa12, ds.kappa23, ds.kappa13), kappa_reference(ds.p, c)):
+        h = _coframe_slots(ds.f)
+        assert unpack_slots(h, symmetric=False).tobytes() == coframe_matrix_reference(f).tobytes()
+        for got, want in zip(_kappa_fields(ds), kappa_reference(ds.p, c)):
             assert got.tobytes() == want.tobytes()
 
     def test_dataset_holds_each_independent_entry_once(self):
-        # c 6, f 6, h 6, kappa 3, p 3: no mirrored or zero entry is stored
+        # c 6, f 6, p 3: no mirrored or zero entry is stored, and neither h
+        # nor the kappa fields, which are formed where they are read
         grid = small_grid(8)
         ds = random_dataset(grid, seed=0)
         held = sum(a.nbytes for obj in (ds, ds.p) for a in vars(obj).values() if isinstance(a, np.ndarray))
-        assert held == 24 * np.zeros(grid.shape).nbytes
+        assert held == 15 * np.zeros(grid.shape).nbytes
 
 
 def _working_fields(call, grid):
@@ -643,7 +671,7 @@ def _working_fields(call, grid):
 
 class TestDataStageMemory:
     # every temporary of the data stage is one grid field: beyond what a call
-    # returns it holds a few of them (measured 5.0 to 6.1 at n = 12), never a
+    # returns it holds a few of them (measured 4.1 to 6.1 at n = 12), never a
     # whole (3, 3) matrix of 9 fields
     WHOLE_MATRIX = 9.0
 
@@ -665,6 +693,12 @@ class TestDataStageMemory:
         grid = small_grid(12)
         ds = random_dataset(grid, seed=0)
         assert _working_fields(lambda: momentum_residual(ds, i), grid) < self.WHOLE_MATRIX
+
+    @pytest.mark.parametrize("big_i", [1, 2, 3])
+    def test_frame_momentum_residual_holds_no_coframe_matrix(self, big_i):
+        grid = small_grid(12)
+        ds = random_dataset(grid, seed=0)
+        assert _working_fields(lambda: frame_momentum_residual(ds, big_i), grid) < self.WHOLE_MATRIX
 
 
 class TestUWaveClosedForm:

@@ -33,6 +33,7 @@ from kasnerlab.grids import LogTimeGrid, ScalarField, SpatialGrid
 from kasnerlab.iteration import zeroth_iterate
 
 from oracles import (
+    coframe_matrix_reference,
     covariant_gamma_oracle,
     gamma_reference,
     kasner_symbolic_ricci,
@@ -139,7 +140,7 @@ class TestCoframe:
         pv = ds.p.as_array()
         t = 0.7
         e0 = unpack_slots(ds.f, symmetric=False) * t ** (-pv[:, None])
-        om0 = unpack_slots(ds.h, symmetric=False) * t ** pv[None, :]
+        om0 = coframe_matrix_reference(unpack_slots(ds.f, symmetric=False)) * t ** pv[None, :]
         om = coframe_from_frame(e0)
         assert np.max(np.abs(om - om0)) < 1e-12 * np.max(np.abs(om0))
 
