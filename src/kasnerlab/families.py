@@ -1,6 +1,9 @@
 """Fixed data families used by the tests and the benchmark.
 
-Three families, all on periodic cubic grids:
+Four families with no settable value: u is U0 or a profile near it, and
+each amplitude is a literal that the family's docstring states.  Every
+profile has period delta; the tests also build layered data on LOCALIZED
+grids.
 
 * homogeneous: constant exponents, identity metric block.  Everything
   downstream must be exact (residuals vanish identically).
@@ -10,6 +13,8 @@ Three families, all on periodic cubic grids:
   constraint up to derivative/quadrature error and is exactly periodic (all
   transport loop integrals vanish), so it is the clean family for decay-rate
   and seam tests.
+* layered: constant exponents, data varying along x^1 only, and a seam
+  mismatch of exactly 0.0.
 * random: seeded band-limited trigonometric fields for u and all six c
   entries.  Type-level identities hold by construction; the differential
   constraint is deliberately NOT satisfied.  Used where an off-constraint
@@ -26,14 +31,17 @@ from .asymdata import (
 )
 from .grids import ScalarField
 
+# the exponent parameter of every family; u = 2 gives p = (-2, 3, 6) / 7
+U0 = 2.0
 
-def u_wave_c33(u, u_ref=2.0):
+
+def u_wave_c33(u):
     """Closed-form c33 profile that transports trivially along x^3.
 
     Solves d(log c33)/du = 2 (u^2 - 1) / [u (u + 2)(u^2 + u + 1)], which is
     the condition that the kappa_1^3 transport right side vanishes when the
     exponents come from the u-parametrization, u varies only along x^1, and
-    c22 has no x^1 dependence.  Normalized so c33(u_ref) = 1.
+    c22 has no x^1 dependence.  Normalized so c33(U0) = 1.
     """
     def raw(v):
         v = np.asarray(v, dtype=float)
@@ -41,60 +49,58 @@ def u_wave_c33(u, u_ref=2.0):
         angle = (2.0 * v + 1.0) / np.sqrt(3.0)
         return rational * np.exp((2.0 / np.sqrt(3.0)) * np.arctan(angle))
 
-    return raw(u) / raw(u_ref)
+    return raw(u) / raw(U0)
 
 
-def u_wave_profile(grid, u0=2.0, u_amp=0.1):
-    """The u field of the u-wave family: u0 + u_amp * sin(2 pi x^1 / delta)."""
-    x1 = grid.mesh(1)
-    u = u0 + u_amp * np.sin(2.0 * np.pi * x1 / grid.delta)
+def u_wave_profile(grid):
+    """The u field of the u-wave family: U0 + 0.1 sin(2 pi x^1 / delta)."""
+    u = U0 + 0.1 * np.sin(2.0 * np.pi * grid.mesh(1) / grid.delta)
     return np.broadcast_to(u, grid.shape).copy()
 
 
-def u_wave_dataset(grid, u0=2.0, u_amp=0.1, c22_amp=0.3):
+def u_wave_dataset(grid):
     """Constraint-satisfying inhomogeneous family.
 
-    u = u0 + u_amp sin(2 pi x^1/delta), c22 = exp(c22_amp sin(2 pi x^3/delta)),
+    u = U0 + 0.1 sin(2 pi x^1/delta), c22 = exp(0.3 sin(2 pi x^3/delta)),
     c33 = u_wave_c33(u), kappa_1^2 = 0, homogeneous slices.  With these
     choices every transport right side is x^2-independent and the loop
     integrals along x^3 vanish, so the assembled data are exactly periodic.
     """
-    u = u_wave_profile(grid, u0=u0, u_amp=u_amp)
+    u = u_wave_profile(grid)
     p = exponents_from_u(ScalarField(grid, u))
     x3 = grid.mesh(3)
-    c22 = np.broadcast_to(np.exp(c22_amp * np.sin(2.0 * np.pi * x3 / grid.delta)), grid.shape).copy()
+    c22 = np.broadcast_to(np.exp(0.3 * np.sin(2.0 * np.pi * x3 / grid.delta)), grid.shape).copy()
     c33 = u_wave_c33(u)
     return assemble_dataset(p, c22, c33, kappa12=0.0)
 
 
-def homogeneous_dataset(grid, u0=2.0):
-    """Spatially constant exponents with the identity metric block."""
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, float(u0))))
+def homogeneous_dataset(grid):
+    """Exponents of u = U0 everywhere with the identity metric block."""
+    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, U0)))
     c = np.zeros((6,) + grid.shape)
     c[:3] = 1.0  # the diagonal slots
     return AsymptoticDataSet(grid, p, c)
 
 
-def layered_dataset(grid, u0=2.0, c11_amp=0.3, kappa12_amp=0.1, slice_amp=0.2):
-    """Inhomogeneous data varying along x^1 only, with constant exponents.
+def layered_dataset(grid):
+    """Inhomogeneous data varying along x^1 only, with the exponents of U0.
 
-    Every transport right-hand side vanishes pointwise (no x^2 or x^3
-    dependence anywhere, and the stencil is exactly zero on such fields), so
-    the assembled data satisfy the momentum constraint and are periodic with
-    seam mismatch exactly 0.0, while keeping all off-diagonal metric entries
-    active through the kappa slices.
+    With k = 2 pi / delta: kappa_1^2 = 0.1 sin(k x^1), c22 = c33 = 1, and
+    the x^3 = 0 slices c11 = exp(0.3 sin(k x^1)), kappa_2^3 = 0.2 cos(k x^1)
+    and kappa_1^3 = 0.2 sin(2 k x^1).  Every transport right side vanishes
+    pointwise (no x^2 or x^3 dependence, and the stencil is exactly zero on
+    such fields), so the data satisfy the momentum constraint and are
+    periodic with seam mismatch exactly 0.0, while the kappa slices keep
+    every off-diagonal metric entry active.
     """
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, float(u0))))
-    n = grid.n_pts
+    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, U0)))
     k = 2.0 * np.pi / grid.delta
     x1_line = grid.axis_coords()
-    col = np.ones((1, n))
-    c11_slice = np.exp(c11_amp * np.sin(k * x1_line))[:, None] * col
-    kappa12 = np.broadcast_to(
-        kappa12_amp * np.sin(k * grid.mesh(1)), grid.shape
-    ).copy()
-    k23_slice = slice_amp * np.cos(k * x1_line)[:, None] * col
-    k13_slice = slice_amp * np.sin(2.0 * k * x1_line)[:, None] * col
+    col = np.ones((1, grid.n_pts))
+    c11_slice = np.exp(0.3 * np.sin(k * x1_line))[:, None] * col
+    kappa12 = np.broadcast_to(0.1 * np.sin(k * grid.mesh(1)), grid.shape).copy()
+    k23_slice = 0.2 * np.cos(k * x1_line)[:, None] * col
+    k13_slice = 0.2 * np.sin(2.0 * k * x1_line)[:, None] * col
     return assemble_dataset(
         p,
         c22=1.0,
@@ -106,18 +112,18 @@ def layered_dataset(grid, u0=2.0, c11_amp=0.3, kappa12_amp=0.1, slice_amp=0.2):
     )
 
 
-def _trig_field(grid, rng, amp, kmax=2):
+def _trig_field(grid, rng, amp):
     """Band-limited random trig polynomial with max amplitude <= amp.
 
-    Modes k in {-kmax..kmax}^3 \\ {0} with seeded coefficients; normalized by
+    Modes k in {-2..2}^3 \\ {0} with seeded coefficients; normalized by
     the coefficient l1 norm so the sup bound is exact, then scaled by amp.
     """
     coords = [grid.mesh(ax) * (2.0 * np.pi / grid.delta) for ax in (1, 2, 3)]
     out = np.zeros(grid.shape)
     total = 0.0
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            for k3 in range(kmax + 1):
+    for k1 in range(-2, 3):
+        for k2 in range(-2, 3):
+            for k3 in range(3):
                 if (k1, k2, k3) == (0, 0, 0) or (k3 == 0 and (k2 < 0 or (k2 == 0 and k1 < 0))):
                     continue
                 a, b = rng.normal(size=2)
@@ -127,8 +133,11 @@ def _trig_field(grid, rng, amp, kmax=2):
     return amp * out / total
 
 
-def random_dataset(grid, seed, u0=2.0, u_amp=0.25, diag_amp=0.3, offdiag_amp=0.2):
+def random_dataset(grid, seed):
     """Seeded random data: type identities hold, differential constraint does not.
+
+    u - U0, log c_ii and c_ij (i < j) are _trig_fields of sup at most 0.25,
+    0.3 and 0.2, drawn in turn from the generator of `seed`.
 
     The tower does not run on these data.  At n=12, seed 3, on
     LogTimeGrid(1e-4, 1e-1, 41) it aborts in the level-1 k update: t^2 R[0]
@@ -138,12 +147,12 @@ def random_dataset(grid, seed, u0=2.0, u_amp=0.25, diag_amp=0.3, offdiag_amp=0.2
     exceeds its limit, and with 1e-6 the frame update has a flat head.
     """
     rng = np.random.default_rng(seed)
-    u = u0 + _trig_field(grid, rng, u_amp)
+    u = U0 + _trig_field(grid, rng, 0.25)
     p = exponents_from_u(ScalarField(grid, u))
     c = np.empty((6,) + grid.shape)
     for i in range(3):
-        c[i] = np.exp(_trig_field(grid, rng, diag_amp))
+        c[i] = np.exp(_trig_field(grid, rng, 0.3))
     # drawn in this order, not in slot order: the seed fixes the fields
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        c[SLOTS.index((i, j))] = _trig_field(grid, rng, offdiag_amp)
+        c[SLOTS.index((i, j))] = _trig_field(grid, rng, 0.2)
     return AsymptoticDataSet(grid, p, c)

@@ -37,11 +37,12 @@ class SpatialGrid:
     """
 
     def __init__(self, delta, n_pts, mode=PERIODIC):
-        if not (delta > 0):
-            raise GridError(f"delta must be positive, got {delta}")
+        if not (0 < delta < math.inf):
+            raise GridError(f"delta must be positive and finite, got {delta}")
+        # NaN-safe, and int(inf) is never reached
+        if not (8 <= n_pts < math.inf and int(n_pts) == n_pts):
+            raise GridError(f"n_pts must be an integer >= 8 per axis, got {n_pts}")
         n_pts = int(n_pts)
-        if n_pts < 8:
-            raise GridError(f"n_pts must be >= 8 per axis, got {n_pts}")
         if mode not in (PERIODIC, LOCALIZED):
             raise GridError(f"unknown grid mode {mode!r}")
         self.delta = float(delta)
@@ -78,11 +79,11 @@ class LogTimeGrid:
     """n_steps nodes uniform in log t on [t_min, t_max], endpoints included."""
 
     def __init__(self, t_min, t_max, n_steps):
-        if not (0 < t_min < t_max):
-            raise GridError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
+        if not (0 < t_min < t_max < math.inf):
+            raise GridError(f"need 0 < t_min < t_max < inf, got ({t_min}, {t_max})")
+        if not (2 <= n_steps < math.inf and int(n_steps) == n_steps):
+            raise GridError(f"n_steps must be an integer >= 2, got {n_steps}")
         n_steps = int(n_steps)
-        if n_steps < 2:
-            raise GridError(f"n_steps must be >= 2, got {n_steps}")
         self.t_min = float(t_min)
         self.t_max = float(t_max)
         self.n_steps = n_steps
@@ -92,14 +93,6 @@ class LogTimeGrid:
         self.times[0] = self.t_min
         self.times[-1] = self.t_max
         self.h_s = (self.s[-1] - self.s[0]) / (n_steps - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LogTimeGrid)
-            and self.t_min == other.t_min
-            and self.t_max == other.t_max
-            and self.n_steps == other.n_steps
-        )
 
     def __repr__(self):
         return f"LogTimeGrid({self.t_min!r}, {self.t_max!r}, {self.n_steps})"

@@ -96,7 +96,7 @@ class IterateSet:
 def zeroth_iterate(data, times):
     """Level 0 in closed form: e = f t^-p, k = -diag(p)/t (coframe h t^p)."""
     pv = data.p.as_array()[None]
-    t = _broadcast_times(times, pv.ndim)
+    t = times.times.reshape((-1,) + (1,) * (pv.ndim - 1))
     down = np.exp(-pv * np.log(t))  # t^{-p_I}
     e = np.zeros((times.n_steps, 3, 3) + data.grid.shape)
     for s, (i, a) in enumerate(SLOTS):
@@ -108,10 +108,6 @@ def zeroth_iterate(data, times):
     diag = np.arange(3)
     k[:, diag, diag] = -pv / t
     return IterateSet(0, data, times, e, k)
-
-
-def _broadcast_times(times, ndim):
-    return times.times.reshape((-1,) + (1,) * (ndim - 1))
 
 
 # integrating-factor exponent beyond which the window is clearly outside the
@@ -223,7 +219,7 @@ def fit_decay_rate(t, norms):
     """Least-squares power-law fit log(norm) ~ slope*log(t) + intercept.
 
     Returns (slope, intercept, r_squared).  Needs at least 6 samples
-    spanning 1.5 decades, and strictly positive norms.
+    spanning 1.5 decades, and finite, strictly positive times and norms.
     """
     t = np.asarray(t, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -231,8 +227,9 @@ def fit_decay_rate(t, norms):
         raise ConfigError("t and norms must be 1-d arrays of equal length")
     if t.size < 6:
         raise ConfigError(f"need at least 6 samples for a decay fit, got {t.size}")
-    if np.any(norms <= 0):
-        raise ConfigError("decay fit requires strictly positive norms")
+    # NaN-safe: a NaN must fail this test, not pass on to the fit
+    if not np.all((0 < t) & (t < np.inf) & (0 < norms) & (norms < np.inf)):
+        raise ConfigError("decay fit requires finite, strictly positive times and norms")
     if np.max(t) / np.min(t) < 10.0**1.5:
         raise ConfigError("decay fit requires samples spanning at least 1.5 decades")
     x = np.log(t)

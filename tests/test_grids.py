@@ -49,6 +49,23 @@ class TestSpatialGrid:
         with pytest.raises(GridError):
             SpatialGrid(1.0, 16, "open")
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_non_positive_delta_rejected(self, delta):
+        # an infinite delta gave h = inf and coordinates [nan, inf, ...]
+        with pytest.raises(GridError, match="delta must be positive and finite"):
+            SpatialGrid(delta, 8)
+
+    @pytest.mark.parametrize("n_pts", [8.9, math.inf, math.nan, 7])
+    def test_size_that_int_would_change_rejected(self, n_pts):
+        # 8.9 silently gave 8 points; int(inf) raised OverflowError
+        with pytest.raises(GridError, match="n_pts must be an integer >= 8"):
+            SpatialGrid(1.0, n_pts)
+
+    @pytest.mark.parametrize("n_pts", [16.0, np.int64(16)])
+    def test_integral_size_of_another_type_accepted(self, n_pts):
+        g = SpatialGrid(1.0, n_pts)
+        assert g.n_pts == 16 and type(g.n_pts) is int
+
     def test_axis_coords_exclude_endpoint(self):
         g = make_grid(8)
         x = g.axis_coords()
@@ -69,6 +86,17 @@ class TestLogTimeGrid:
             LogTimeGrid(0.0, 1.0, 8)
         with pytest.raises(GridError):
             LogTimeGrid(1.0, 0.5, 8)
+
+    @pytest.mark.parametrize("t_min, t_max", [(1e-4, math.inf), (1e-4, math.nan), (math.nan, 1.0)])
+    def test_non_finite_window_rejected(self, t_min, t_max):
+        # (1e-4, inf) gave nodes [1e-4, inf, inf, inf, inf] and h_s = nan
+        with pytest.raises(GridError, match="t_max < inf"):
+            LogTimeGrid(t_min, t_max, 5)
+
+    @pytest.mark.parametrize("n_steps", [40.5, math.inf, math.nan, 1])
+    def test_step_count_that_int_would_change_rejected(self, n_steps):
+        with pytest.raises(GridError, match="n_steps must be an integer >= 2"):
+            LogTimeGrid(1e-4, 1e-1, n_steps)
 
 
 class TestFieldTypes:

@@ -324,10 +324,34 @@ class TestFitDecayRate:
         with pytest.raises(ConfigError, match="1.5 decades"):
             fit_decay_rate(t, t**-0.5)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    # a NaN norm returned (nan, nan, nan); an inf norm warned, then fitted
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_norms_rejected(self, bad):
         t = np.logspace(-4, -1, 10)
         norms = t**-0.5
         norms[3] = bad
         with pytest.raises(ConfigError, match="strictly positive"):
             fit_decay_rate(t, norms)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_times_rejected(self, bad):
+        # a zero node printed LAPACK errors, then raised LinAlgError
+        t = np.logspace(-4, -1, 10)
+        norms = t**-0.5
+        t[0] = bad
+        with pytest.raises(ConfigError, match="finite, strictly positive times and norms"):
+            fit_decay_rate(t, norms)
+
+
+class TestLevelIndexGuards:
+    @pytest.mark.parametrize("n_max", [-1, 5])
+    def test_tower_depth_outside_the_supported_levels_rejected(self, n_max):
+        with pytest.raises(ConfigError, match=r"n_max must be in 0\.\.4, got "):
+            build_tower(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid(), n_max)
+
+    def test_level_updates_start_at_level_one(self):
+        zeroth = zeroth_iterate(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid())
+        with pytest.raises(ConfigError, match="advance_k needs n >= 1, got 0"):
+            advance_k(0, zeroth, zeroth)
+        with pytest.raises(ConfigError, match="advance_e needs n >= 1, got 0"):
+            advance_e(0, zeroth.k, zeroth, zeroth)

@@ -1,6 +1,7 @@
 """Packaging metadata and API surface: every entry point pyproject.toml
-declares must exist, and every public function of the library must have a
-caller in the library or the benchmark."""
+declares must exist, every public function of the library must have a
+caller in the library or the benchmark, and every defaulted parameter of
+the library must be set by some call."""
 
 import ast
 import importlib
@@ -85,3 +86,113 @@ def test_guard_counts_names_attributes_and_imports():
     caller = ast.parse("from lib import by_import\nBox().by_attribute()\n")
     assert _uncalled([library], [caller]) == ([], 3)
     assert _uncalled([library], []) == (["by_attribute", "by_import"], 3)
+
+
+def _defaulted_parameters(tree):
+    """(callee, position, name) of each defaulted parameter of the module's
+    public functions, its classes' public methods and their __init__, which
+    a call reaches by the class name.  position is the parameter's index
+    among a call's positional arguments, self not counted; None for a
+    keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members = [
+                (node.name if item.name == "__init__" else item.name, item, 1)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+        else:
+            members = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+        for callee, item, offset in members:
+            if callee.startswith("_"):
+                continue
+            args = item.args
+            positional = args.posonlyargs + args.args
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield callee, index - offset, positional[index].arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield callee, None, arg.arg
+
+
+def _passed(trees):
+    """(callee, position or keyword) of every argument a call in the trees
+    passes; a call that unpacks * or ** passes (callee, "*")."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee = func.id
+            elif isinstance(func, ast.Attribute):
+                callee = func.attr
+            else:
+                continue
+            passed.update((callee, index) for index in range(len(node.args)))
+            passed.update((callee, kw.arg) for kw in node.keywords)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args)
+            if unpacked or any(kw.arg is None for kw in node.keywords):
+                passed.add((callee, "*"))
+    return passed
+
+
+def _unset(library, callers):
+    """Defaulted parameters of the library trees that no call in library or
+    callers sets, sorted as "callee.name", and the number scanned."""
+    parameters = [entry for tree in library for entry in _defaulted_parameters(tree)]
+    passed = _passed(library + callers)
+    unset = sorted(
+        f"{callee}.{name}"
+        for callee, position, name in parameters
+        if not {(callee, position), (callee, name), (callee, "*")} & passed
+    )
+    return unset, len(parameters)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default that no call overrides is a configuration nothing runs.
+
+    Unlike the function guard, tests count as setters here: SpatialGrid's
+    mode=LOCALIZED, the paper's localization in space, is set only by tests
+    until a localized tower runs elsewhere, and a test that exercises a
+    parameter is reason enough to keep it."""
+    library = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "kasnerlab").glob("*.py"))]
+    callers = [
+        ast.parse(p.read_text())
+        for directory in ("kbench", "tests")
+        for p in sorted((ROOT / directory).glob("*.py"))
+    ]
+    unset, n_scanned = _unset(library, callers)
+    assert n_scanned >= 10
+    assert unset == []
+
+
+def test_parameter_guard_counts_positions_keywords_and_unpacking():
+    library = ast.parse(
+        "def f(a, by_position=1, by_keyword=2, unset=3, *, kw_only=4):\n"
+        '    """unset=0 and kw_only=0 are only named here."""\n'
+        "class Box:\n"
+        "    def __init__(self, size=1):\n"
+        "        pass\n"
+        "    def fill(self, level=0, spare=0):\n"
+        "        pass\n"
+        "    def _private(self, hidden=0):\n"
+        "        pass\n"
+        "def starred(x=0):\n    pass\n"
+        "def double_starred(y=0):\n    pass\n"
+    )
+    caller = ast.parse(
+        "f(0, 1)\n"
+        "f(0, by_keyword=2)\n"
+        "Box(5).fill(level=1)\n"
+        "starred(*args)\n"
+        "double_starred(**options)\n"
+        "# f(0, 1, 2, kw_only=4)\n"
+    )
+    assert _unset([library], [caller]) == (["f.kw_only", "f.unset", "fill.spare"], 9)
+    assert _unset([library], [])[0] == [
+        "Box.size", "double_starred.y", "f.by_keyword", "f.by_position",
+        "f.kw_only", "f.unset", "fill.level", "fill.spare", "starred.x",
+    ]
