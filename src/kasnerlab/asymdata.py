@@ -20,7 +20,10 @@ holds entry SLOTS[s] = (i, j), i <= j, 0-based, in the order 00, 11, 22,
 by _coframe_entry, is entry SLOTS[s] too.  No other layout exists: the
 mirrored entries of c and the zero lower entries of f are never stored.
 Public operations that take a direction use 1-based labels i, I in {1,2,3}
-to match the coordinate names x^1, x^2, x^3.
+to match the coordinate names x^1, x^2, x^3.  Every 3-variable input (u,
+the p_i, c22, c33, kappa_1^2) is a scalar, constant over the grid, or an
+array of grid.shape; every slice is a scalar or an (n, n) array.  A
+ScalarField is only what the residuals return.
 
 Residual conventions, with V = c11*c22*c33 and D_a the grid derivative:
 
@@ -47,13 +50,9 @@ DATASET_REL_TOL = 1e-10
 
 
 def _values_on(grid, x, name):
-    """Normalize scalar / ndarray / ScalarField input to a grid-shaped array."""
+    """Normalize a scalar or a grid-shaped array to a grid-shaped array."""
     if x is None:
         raise ConfigError(f"{name} is required")
-    if isinstance(x, ScalarField):
-        if x.grid != grid:
-            raise GridError(f"{name} lives on a different grid")
-        return np.asarray(x.values, dtype=float)
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return np.full(grid.shape, float(arr))
@@ -62,19 +61,16 @@ def _values_on(grid, x, name):
     return arr
 
 
-def _slice_on(grid, x, name, default):
-    """Normalize a 2-variable slice prescribed at x^3 = 0 to shape (n, n, 1)."""
-    if x is None:
-        x = default
-    if isinstance(x, ScalarField):
-        x = x.values
+def _slice_on(grid, x, name):
+    """Normalize a finite 2-variable slice prescribed at x^3 = 0 to shape
+    (n, n, 1); None reads as NaN and is rejected."""
     arr = np.asarray(x, dtype=float)
     n = grid.n_pts
-    if arr.ndim == 0:
-        return np.full((n, n, 1), float(arr))
-    if arr.shape == (n, n):
-        return arr[:, :, None].astype(float)
-    raise GridError(f"{name} must be scalar or shape ({n}, {n}), got {arr.shape}")
+    if arr.shape not in ((), (n, n)):
+        raise GridError(f"{name} must be scalar or shape ({n}, {n}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite")
+    return np.broadcast_to(arr, (n, n))[:, :, None].copy()
 
 
 class KasnerExponents:
@@ -127,27 +123,26 @@ class KasnerExponents:
         return f"KasnerExponents(grid={self.grid!r}, eps={self.eps:.6g})"
 
 
-def exponents_from_u(u):
+def exponents_from_u(grid, u):
     """Exponent triple from the one-parameter pointwise solution of both relations.
 
     p1 = -u/d, p2 = (1+u)/d, p3 = u(1+u)/d with d = 1 + u + u^2 satisfies
-    p1 + p2 + p3 = 1 and p1^2 + p2^2 + p3^2 = 1 identically, and u > 1
-    guarantees strict ordering p1 < 0 < p2 < p3.
+    p1 + p2 + p3 = 1 and p1^2 + p2^2 + p3^2 = 1 identically, and finite
+    u > 1 guarantees strict ordering p1 < 0 < p2 < p3.
     """
-    if not isinstance(u, ScalarField):
-        raise ConfigError(f"exponents_from_u needs a ScalarField, got {type(u).__name__}")
-    uv = u.values
-    if np.any(uv <= 1.0):
-        bad = np.unravel_index(int(np.argmin(uv)), uv.shape)
+    uv = _values_on(grid, u, "u")
+    # NaN-safe: a NaN fails both comparisons
+    if not (np.all(uv > 1.0) and np.all(uv < np.inf)):
+        bad = tuple(int(v) for v in np.argwhere(~np.isfinite(uv) | (uv <= 1.0))[0])
         raise DegenerateExponentsError(
-            f"u must exceed 1 everywhere (ordering degenerates at u = 1); "
-            f"min u = {float(np.min(uv)):.6g} at grid index {tuple(int(v) for v in bad)}"
+            f"u must be finite and exceed 1 everywhere (ordering degenerates at "
+            f"u = 1); u = {uv[bad]:.6g} at grid index {bad}"
         )
     d = 1.0 + uv + uv * uv
     p1 = -uv / d
     p2 = (1.0 + uv) / d
     p3 = uv * (1.0 + uv) / d
-    return KasnerExponents(u.grid, p1, p2, p3)
+    return KasnerExponents(grid, p1, p2, p3)
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +234,22 @@ def _max_abs(fields):
 class AsymptoticDataSet:
     """Exponents plus metric/frame coefficient blocks forming data on the singularity.
 
-    Holds grid, p, c, f and seam, and nothing else.  c and f are packed,
-    shape (6,) + grid.shape in SLOTS order: the 6 entries of the symmetric c
-    and the 6 upper-triangular entries of f.  Construction takes c in that
-    layout only and derives f from it, so the pointwise coefficient
-    identities hold by construction.  The coframe h and the kappa fields are
-    not stored: readers form each entry where they read it, by
-    _coframe_entry and _kappa_entry.  Validation checks
-    positivity, finiteness, and the c -> f -> c round trip to
-    DATASET_REL_TOL.  The layout cannot hold an asymmetric c, so no symmetry
-    check exists.  The momentum residuals are NOT checked here -- data
-    violating the differential constraint are legitimate objects (that is the
-    point of the constraint diagnostics).
+    Holds grid (p's grid), p, c, f and seam, and nothing else.  c and f are
+    packed, shape (6,) + grid.shape in SLOTS order: the 6 entries of the
+    symmetric c and the 6 upper-triangular entries of f.  Construction takes
+    c in that layout only and derives f from it, so the pointwise
+    coefficient identities hold by construction.  The coframe h and the
+    kappa fields are not stored: readers form each entry where they read it,
+    by _coframe_entry and _kappa_entry.  Validation checks positivity,
+    finiteness, and the c -> f -> c round trip to DATASET_REL_TOL.  The
+    layout cannot hold an asymmetric c, so no symmetry check exists.  The
+    momentum residuals are NOT checked here -- data violating the
+    differential constraint are legitimate objects (that is the point of the
+    constraint diagnostics).
     """
 
-    def __init__(self, grid, p, c, seam=None):
-        if p.grid != grid:
-            raise GridError("exponents live on a different grid")
+    def __init__(self, p, c, seam=None):
+        grid = p.grid
         c = np.asarray(c, dtype=float)
         if c.shape != (6,) + grid.shape:
             raise GridError(f"c must have the packed shape (6,) + grid.shape, got {c.shape}")
@@ -282,17 +276,13 @@ class AsymptoticDataSet:
         return _max_abs(c)
 
     def _validate_round_trip(self, scale):
-        err = _max_abs(self._round_trip_errors())
+        """max|c(f) - c| within DATASET_REL_TOL of scale, with c(f) the metric
+        that _metric_entry rebuilds from f, one slot at a time."""
+        err = _max_abs(_metric_entry(self.f, s) - self.c[s] for s in range(len(SLOTS)))
         if not err <= DATASET_REL_TOL * scale:
             raise ConfigError(
                 f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}"
             )
-
-    def _round_trip_errors(self):
-        """c(f) - c, one slot at a time, with c(f) the metric that
-        _metric_entry rebuilds from the frame coefficients."""
-        for s in range(len(SLOTS)):
-            yield _metric_entry(self.f, s) - self.c[s]
 
     def __repr__(self):
         return f"AsymptoticDataSet(grid={self.grid!r}, eps={self.p.eps:.6g}, seam={self.seam!r})"
@@ -318,7 +308,7 @@ def _positive_diagonal(grid, **fields):
     arrays = []
     for name, x in fields.items():
         arr = _values_on(grid, x, name)
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):  # NaN-safe
             raise ConfigError(f"{name} must be positive everywhere")
         arrays.append(arr)
     return arrays
@@ -336,22 +326,23 @@ def _seam_jump(integrand, grid, mu=None):
     return np.max(np.abs(loop if mu is None else loop / mu[:, :, 0]))
 
 
-def solve_c11(p, c22, c11_slice=None):
+def solve_c11(p, c22, c11_slice=1.0):
     """Integrate the x^3-direction constraint for c11.
 
     log c11(x) = log c11(x^1, x^2, 0)
                  - int_0^{x^3} [ (p3-p2)/(p3-p1) D_3 log c22 + 2 D_3 p3 / (p3-p1) ] ds
 
-    The slice at x^3 = 0 defaults to 1.  Positive c22 is required.  Returns
+    Positive c22 and a positive slice at x^3 = 0 are required.  Returns
     (c11, seam_jump), seam_jump the loop-integral mismatch of log c11 across
     the x^3 seam (None on a localized grid).
     """
     grid = p.grid
     _check_gaps(p)
     (c22,) = _positive_diagonal(grid, c22=c22)
-    lc0 = np.log(_slice_on(grid, c11_slice, "c11_slice", default=1.0))
-    if not np.all(np.isfinite(lc0)):
+    c11_0 = _slice_on(grid, c11_slice, "c11_slice")
+    if not np.all(c11_0 > 0.0):
         raise ConfigError("c11_slice must be positive everywhere")
+    lc0 = np.log(c11_0)
     dl22 = fd_diff(np.log(c22), 3, grid)
     dp3 = fd_diff(p.p3, 3, grid)
     integrand = ((p.p3 - p.p2) * dl22 + 2.0 * dp3) / (p.p3 - p.p1)
@@ -368,7 +359,7 @@ def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
     grid = p.grid
     _check_gaps(p)
     logs = [np.log(c) for c in _positive_diagonal(grid, c11=c11, c22=c22, c33=c33)]
-    kap0 = _slice_on(grid, kappa_slice, slice_name, default=0.0)
+    kap0 = _slice_on(grid, kappa_slice, slice_name)
     log_v = logs[0] + logs[1] + logs[2]
     mu = np.exp(0.5 * log_v)
     integrand = mu * rhs(*logs, log_v)
@@ -376,15 +367,15 @@ def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
     return kappa, _seam_jump(integrand, grid, mu)
 
 
-def solve_kappa23(p, c11, c22, c33, kappa23_slice=None):
+def solve_kappa23(p, c11, c22, c33, kappa23_slice=0.0):
     """Integrating-factor transport for kappa_2^3 along x^3.
 
       D_3 kappa_2^3 + (1/2)(D_3 log V) kappa_2^3
         = (1/2)(p2-p1) D_2 log c11 + (1/2)(p2-p3) D_2 log c33 + D_2 p2
 
     solved as kappa = [mu(0) kappa(0) + int_0^{x^3} mu * rhs] / mu with
-    mu = sqrt(V), V = c11 c22 c33.  Slice defaults to 0.  Returns
-    (kappa_2^3, seam_jump) as solve_c11 does.
+    mu = sqrt(V), V = c11 c22 c33.  Returns (kappa_2^3, seam_jump) as
+    solve_c11 does.
     """
     grid = p.grid
 
@@ -398,7 +389,7 @@ def solve_kappa23(p, c11, c22, c33, kappa23_slice=None):
     return _kappa_transport(p, c11, c22, c33, kappa23_slice, "kappa23_slice", rhs)
 
 
-def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=None):
+def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=0.0):
     """Integrating-factor transport for kappa_1^3 along x^3.
 
       D_3 kappa_1^3 + (1/2)(D_3 log V) kappa_1^3
@@ -428,24 +419,24 @@ def assemble_dataset(
     c22,
     c33,
     kappa12=0.0,
-    c11_slice=None,
-    kappa23_slice=None,
-    kappa13_slice=None,
+    c11_slice=1.0,
+    kappa23_slice=0.0,
+    kappa13_slice=0.0,
 ):
     """Full data set from the free inputs of the constraint existence argument.
 
     Free 3-variable inputs: c22 > 0, c33 > 0, kappa12 (equivalently c12).
-    Free 2-variable slices at x^3 = 0: c11 (default 1), kappa23 (default 0),
-    kappa13 (default 0).  The remaining fields are determined by the three
-    x^3 transports, then the off-diagonal c entries are recovered from the
-    kappa formulas.  c is assembled packed, its 6 slots in SLOTS order
-    (c11, c22, c33, c12, c23, c13).  On periodic grids a SeamReport records
-    the loop-integral mismatch of each transport across the x^3 seam.
+    Free 2-variable slices at x^3 = 0: c11 > 0, kappa23, kappa13.  The
+    remaining fields are determined by the three x^3 transports, then the
+    off-diagonal c entries are recovered from the kappa formulas.  c is
+    assembled packed, its 6 slots in SLOTS order (c11, c22, c33, c12, c23,
+    c13).  On periodic grids a SeamReport records the loop-integral mismatch
+    of each transport across the x^3 seam.
     """
     # the transport intermediates die with the helper's frame, before f is
     # built
     c, seam = _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice)
-    return AsymptoticDataSet(p.grid, p, c, seam=seam)
+    return AsymptoticDataSet(p, c, seam=seam)
 
 
 def _transported_metric(p, c22, c33, kappa12, c11_slice, kappa23_slice, kappa13_slice):

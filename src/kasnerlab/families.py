@@ -23,13 +23,7 @@ grids.
 
 import numpy as np
 
-from .asymdata import (
-    SLOTS,
-    AsymptoticDataSet,
-    assemble_dataset,
-    exponents_from_u,
-)
-from .grids import ScalarField
+from .asymdata import SLOTS, AsymptoticDataSet, assemble_dataset, exponents_from_u
 
 # the exponent parameter of every family; u = 2 gives p = (-2, 3, 6) / 7
 U0 = 2.0
@@ -67,19 +61,19 @@ def u_wave_dataset(grid):
     integrals along x^3 vanish, so the assembled data are exactly periodic.
     """
     u = u_wave_profile(grid)
-    p = exponents_from_u(ScalarField(grid, u))
+    p = exponents_from_u(grid, u)
     x3 = grid.mesh(3)
     c22 = np.broadcast_to(np.exp(0.3 * np.sin(2.0 * np.pi * x3 / grid.delta)), grid.shape).copy()
     c33 = u_wave_c33(u)
-    return assemble_dataset(p, c22, c33, kappa12=0.0)
+    return assemble_dataset(p, c22, c33)
 
 
 def homogeneous_dataset(grid):
     """Exponents of u = U0 everywhere with the identity metric block."""
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, U0)))
+    p = exponents_from_u(grid, U0)
     c = np.zeros((6,) + grid.shape)
     c[:3] = 1.0  # the diagonal slots
-    return AsymptoticDataSet(grid, p, c)
+    return AsymptoticDataSet(p, c)
 
 
 def layered_dataset(grid):
@@ -93,7 +87,7 @@ def layered_dataset(grid):
     periodic with seam mismatch exactly 0.0, while the kappa slices keep
     every off-diagonal metric entry active.
     """
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, U0)))
+    p = exponents_from_u(grid, U0)
     k = 2.0 * np.pi / grid.delta
     x1_line = grid.axis_coords()
     col = np.ones((1, grid.n_pts))
@@ -148,11 +142,11 @@ def random_dataset(grid, seed):
     """
     rng = np.random.default_rng(seed)
     u = U0 + _trig_field(grid, rng, 0.25)
-    p = exponents_from_u(ScalarField(grid, u))
+    p = exponents_from_u(grid, u)
     c = np.empty((6,) + grid.shape)
     for i in range(3):
         c[i] = np.exp(_trig_field(grid, rng, 0.3))
     # drawn in this order, not in slot order: the seed fixes the fields
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c[SLOTS.index((i, j))] = _trig_field(grid, rng, 0.2)
-    return AsymptoticDataSet(grid, p, c)
+    return AsymptoticDataSet(p, c)

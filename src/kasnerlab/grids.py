@@ -184,15 +184,17 @@ def _flat_stencil(values, axis, h):
     return df
 
 
+def _check_nodes(n):
+    if n < 2 * _W + 1:
+        raise GridError(f"need at least {2 * _W + 1} nodes along the axis")
+
+
 def _stencil(values, axis, h, mode):
     """Fourth-order first derivative along the absolute `axis`: the centered
     stencil in the interior, and at the 2 nodes next to each face either the
     same stencil on the wrapped slab (periodic) or the one-sided rows
     (localized)."""
-    if mode not in (PERIODIC, LOCALIZED):
-        raise GridError(f"unknown grid mode {mode!r}")
-    if values.shape[axis] < 2 * _W + 1:
-        raise GridError(f"need at least {2 * _W + 1} nodes along the axis")
+    _check_nodes(values.shape[axis])
     values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
     n = values.shape[axis]
     df = _flat_stencil(values, axis, h)
@@ -228,6 +230,7 @@ def fd_time_diff(series, t):
     s = log t with one-sided rows at the ends, then d/dt = (1/t) d/ds."""
     if np.any(t <= 0):
         raise ConfigError("slice times must be positive")
+    _check_nodes(len(t))
     steps = np.diff(np.log(t))
     hs = float(steps[0])
     if hs == 0:

@@ -57,7 +57,7 @@ class IterateSet:
         self.e = e
         self.k = k
         self.asym_norms = asym_norms
-        self.envelope_report = []
+        self.envelope = None
 
     @property
     def grid(self):
@@ -253,17 +253,20 @@ def _fit_window(times):
 def build_tower(data, times, n_max):
     """Levels 0..n_max of the tower, with warning-grade envelope checks.
 
-    Each level n >= 1 records the fitted decay slope of the per-node sup
-    norm of k[n] - k[n-1] against the predicted -1 + n*eps, fitted over the
-    nodes inside the lowest FIT_DECADES of the time window where that norm
-    is positive.  The report's status is "ok", "missed" (beyond
-    ENVELOPE_SLACK; this also warns) or "not checked" (too few positive
-    nodes, or too short a span, for fit_decay_rate).  The tower is returned
+    Each level n >= 1 records in its `envelope` dict (None at level 0) the
+    fitted decay slope of the per-node sup norm of k[n] - k[n-1] against the
+    predicted -1 + n*eps, fitted over the nodes inside the lowest
+    FIT_DECADES of the time window where that norm is positive.  The
+    report's status is "ok", "missed" (beyond ENVELOPE_SLACK; this also
+    warns) or "not checked" (too few positive nodes, or too short a span,
+    for fit_decay_rate).  The tower is returned
     either way: the predicted envelopes carry unknown constants and windows,
     so a miss is a report, not a failure.
     """
-    if not 0 <= n_max <= MAX_TOWER_LEVEL:
+    # NaN-safe, and int(inf) is never reached
+    if not (0 <= n_max <= MAX_TOWER_LEVEL and int(n_max) == n_max):
         raise ConfigError(f"n_max must be in 0..{MAX_TOWER_LEVEL}, got {n_max}")
+    n_max = int(n_max)
     levels = [zeroth_iterate(data, times)]
     eps = data.p.eps
     mask = _fit_window(times)
@@ -291,6 +294,6 @@ def build_tower(data, times, n_max):
                     f"{predicted:.3f} +- {ENVELOPE_SLACK}",
                     stacklevel=2,
                 )
-        level.envelope_report.append(report)
+        level.envelope = report
         levels.append(level)
     return levels

@@ -121,7 +121,7 @@ def perturb_offdiagonal(data, amp=0.01, entry=(1, 2), axis=2):
     bump = amp * np.sin(2.0 * np.pi * x / grid.delta)
     s = SLOTS.index((min(i, j) - 1, max(i, j) - 1))
     c[s] = c[s] + bump
-    return AsymptoticDataSet(grid, data.p, c, seam=data.seam)
+    return AsymptoticDataSet(data.p, c, seam=data.seam)
 
 
 def metric_check_reference(c):

@@ -66,7 +66,7 @@ def small_grid(n=16, mode="periodic"):
 class TestKasnerExponents:
     def test_u2_exact_sevenths(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         assert np.max(np.abs(p.p1 + 2.0 / 7.0)) < 1e-15
         assert np.max(np.abs(p.p2 - 3.0 / 7.0)) < 1e-15
         assert np.max(np.abs(p.p3 - 6.0 / 7.0)) < 1e-15
@@ -74,38 +74,38 @@ class TestKasnerExponents:
 
     def test_u3_exact_thirteenths(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 3.0)))
+        p = exponents_from_u(grid, 3.0)
         assert np.max(np.abs(p.p1 + 3.0 / 13.0)) < 1e-15
         assert np.max(np.abs(p.p2 - 4.0 / 13.0)) < 1e-15
         assert np.max(np.abs(p.p3 - 12.0 / 13.0)) < 1e-15
 
     def test_pointwise_relations_u_wave(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, u_wave_profile(grid)))
+        p = exponents_from_u(grid, u_wave_profile(grid))
         assert np.max(np.abs(p.p1 + p.p2 + p.p3 - 1.0)) < 1e-12
         assert np.max(np.abs(p.p1**2 + p.p2**2 + p.p3**2 - 1.0)) < 1e-12
         # max u = 2.1 lands exactly on a grid point when 4 | n, so eps = 1/d(2.1)
         assert p.eps == pytest.approx(1.0 / (1.0 + 2.1 + 2.1**2), rel=1e-12)
 
-    def test_rejects_u_at_or_below_one(self):
+    @pytest.mark.parametrize("value", [0.9, 1.0, np.nan, np.inf])
+    def test_rejects_u_at_or_below_one(self, value):
+        # and a non-finite u, which a NaN-unsafe u <= 1 test would pass
         grid = small_grid()
         u = np.full(grid.shape, 2.0)
-        u[3, 1, 4] = 0.9
-        with pytest.raises(DegenerateExponentsError) as err:
-            exponents_from_u(ScalarField(grid, u))
+        u[3, 1, 4] = value
+        with pytest.raises(DegenerateExponentsError, match="^u must be finite and exceed 1") as err:
+            exponents_from_u(grid, u)
         assert "3, 1, 4" in str(err.value)
 
     def test_raw_input_validated(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         rebuilt = KasnerExponents(grid, p.p1, p.p2, p.p3)
         assert rebuilt.eps == pytest.approx(p.eps)
         with pytest.raises(ConfigError):
             KasnerExponents(grid, p.p1 + 5e-12, p.p2, p.p3)
         with pytest.raises(DegenerateExponentsError):
             KasnerExponents(grid, p.p2, p.p1, p.p3)
-        with pytest.raises(ConfigError, match="ScalarField"):
-            exponents_from_u(np.full(grid.shape, 2.0))
 
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("name", ["p1", "p3"])
@@ -113,7 +113,7 @@ class TestKasnerExponents:
         # a NaN must fail the relation check as inf does, and not pass on to
         # the ordering check, which finds no misordered point for it
         grid = small_grid(8)
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         fields = {"p1": p.p1.copy(), "p2": p.p2, "p3": p.p3.copy()}
         fields[name][1, 2, 3] = value
         with pytest.raises(ConfigError, match="^exponent relations violated") as err:
@@ -124,7 +124,7 @@ class TestKasnerExponents:
         grid = small_grid()
         # u = 1e5 drives 1 - p3 = 1/(1 + u + u^2) ~ 1e-10 below the 1e-8 floor
         with pytest.raises(DegenerateExponentsError):
-            exponents_from_u(ScalarField(grid, np.full(grid.shape, 1e5)))
+            exponents_from_u(grid, 1e5)
 
     def test_unchecked_channel_for_violations(self):
         grid = small_grid()
@@ -196,7 +196,7 @@ class TestFrameMatrices:
 class TestSolveC11:
     def test_constant_extension(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         n = grid.n_pts
         x1 = grid.axis_coords()[:, None]
         x2 = grid.axis_coords()[None, :]
@@ -212,7 +212,7 @@ class TestSolveC11:
         x3 = grid.mesh(3)
         amp = 0.02
         u = np.broadcast_to(2.0 + amp * np.sin(x3), grid.shape).copy()
-        p = exponents_from_u(ScalarField(grid, u))
+        p = exponents_from_u(grid, u)
         c11, _ = solve_c11(p, np.ones(grid.shape))
 
         uu = sp.symbols("s")
@@ -231,15 +231,26 @@ class TestSolveC11:
         expected = np.exp(-(p.p3 - p.p2) / (p.p3 - p.p1) * np.log(ds.c[1]))
         assert np.max(np.abs(ds.c[0] - expected)) < 1e-4
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_rejects_nonpositive_slice_before_the_log(self, value):
+        # the check precedes np.log, so no RuntimeWarning comes first
+        grid = small_grid()
+        p = exponents_from_u(grid, 2.0)
+        slice2d = np.ones((grid.n_pts, grid.n_pts))
+        slice2d[3, 1] = value
+        with pytest.raises(ConfigError, match="^c11_slice must be positive everywhere$"):
+            solve_c11(p, np.ones(grid.shape), c11_slice=slice2d)
+
     def test_rejects_nonpositive_c22(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         bad = np.ones(grid.shape)
         bad[0, 0, 0] = -1.0
         with pytest.raises(ConfigError):
             solve_c11(p, bad)
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan])
 @pytest.mark.parametrize(
     "solve,field",
     [
@@ -252,11 +263,12 @@ class TestSolveC11:
         ("kappa13", "c33"),
     ],
 )
-def test_solves_name_the_nonpositive_field(solve, field):
+def test_solves_name_the_nonpositive_field(solve, field, value):
+    # a NaN fails the positivity check as 0.0 does
     grid = small_grid()
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+    p = exponents_from_u(grid, 2.0)
     diag = {name: np.ones(grid.shape) for name in ("c11", "c22", "c33")}
-    diag[field][3, 1, 4] = 0.0
+    diag[field][3, 1, 4] = value
     with pytest.raises(ConfigError, match=f"^{field} must be positive"):
         if solve == "c11":
             solve_c11(p, diag["c22"])
@@ -269,7 +281,7 @@ def test_solves_name_the_nonpositive_field(solve, field):
 class TestKappaTransports:
     def test_homogeneous_zero_slice_stays_zero(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         ones = np.ones(grid.shape)
         k23, _ = solve_kappa23(p, ones, ones, ones)
         k13, _ = solve_kappa13(p, ones, ones, ones, kappa12=0.0)
@@ -283,7 +295,7 @@ class TestKappaTransports:
         amp = 0.01
         x2 = grid.mesh(2)
         u = np.broadcast_to(2.0 + amp * np.sin(x2), grid.shape).copy()
-        p = exponents_from_u(ScalarField(grid, u))
+        p = exponents_from_u(grid, u)
         ones = np.ones(grid.shape)
         k23, _ = solve_kappa23(p, ones, ones, ones)
 
@@ -301,7 +313,7 @@ class TestKappaTransports:
         # to the integrating-factor decay of the slice value.
         grid = small_grid(32)
         x3 = grid.mesh(3)
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         ones = np.ones(grid.shape)
         c33 = np.broadcast_to(np.exp(0.3 * np.sin(x3)), grid.shape).copy()
         k23, _ = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
@@ -311,7 +323,7 @@ class TestKappaTransports:
     def test_kappa23_full_ode_against_reference(self):
         grid = SpatialGrid(DELTA, 48)
         x2, x3 = grid.mesh(2), grid.mesh(3)
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         ones = np.ones(grid.shape)
         c33 = np.broadcast_to(np.exp(0.3 * np.sin(x3) + 0.2 * np.sin(x2)), grid.shape).copy()
         k23, _ = solve_kappa23(p, ones, ones, c33, kappa23_slice=0.2)
@@ -335,7 +347,7 @@ class TestKappaTransports:
         amp, k12_amp = 0.01, 0.005
         x1, x2 = grid.mesh(1), grid.mesh(2)
         u = np.broadcast_to(2.0 + amp * np.sin(x1), grid.shape).copy()
-        p = exponents_from_u(ScalarField(grid, u))
+        p = exponents_from_u(grid, u)
         ones = np.ones(grid.shape)
         kappa12 = np.broadcast_to(k12_amp * np.sin(x2), grid.shape).copy()
         k13, _ = solve_kappa13(p, ones, ones, ones, kappa12)
@@ -455,9 +467,24 @@ class TestAssembleDataset:
             "kappa13_slice",
         ]
 
+        # the free data's defaults, stated in the signatures
+        def defaults(fn):
+            params = inspect.signature(fn).parameters.values()
+            return {q.name: q.default for q in params if q.default is not q.empty}
+
+        assert defaults(assemble_dataset) == {
+            "kappa12": 0.0,
+            "c11_slice": 1.0,
+            "kappa23_slice": 0.0,
+            "kappa13_slice": 0.0,
+        }
+        assert defaults(solve_c11) == {"c11_slice": 1.0}
+        assert defaults(solve_kappa23) == {"kappa23_slice": 0.0}
+        assert defaults(solve_kappa13) == {"kappa13_slice": 0.0}
+
     def test_homogeneous_inputs_reproduce_identity(self):
         grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         ds = assemble_dataset(p, c22=1.0, c33=1.0)
         assert np.all(ds.c[0] == 1.0)
         assert np.all(ds.c[SLOTS.index((0, 1))] == 0.0)
@@ -466,7 +493,7 @@ class TestAssembleDataset:
 
     def test_localized_grid_has_no_seam(self):
         grid = small_grid(8, "localized")
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
+        p = exponents_from_u(grid, 2.0)
         ones = np.ones(grid.shape)
         assert solve_c11(p, ones)[1] is None
         assert solve_kappa23(p, ones, ones, ones)[1] is None
@@ -494,7 +521,7 @@ class TestAssembleDataset:
         grid = small_grid(16)
         x1, x2, x3 = grid.mesh(1), grid.mesh(2), grid.mesh(3)
         u = 2.0 + 0.2 * np.sin(x1 + x3) * np.cos(x2)
-        p = exponents_from_u(ScalarField(grid, u))
+        p = exponents_from_u(grid, u)
         c22 = np.exp(0.3 * np.sin(x2 - x3) * np.cos(x1))
         c33 = np.exp(0.2 * np.cos(x1 + x2 + x3))
         kappa12 = 0.1 * np.sin(x1 + 2.0 * x2) * np.cos(x3) + np.zeros(grid.shape)
@@ -536,15 +563,57 @@ class TestAssembleDataset:
         # differential constraint deliberately violated
         assert np.max(np.abs(momentum_residual(ds, 1).values)) > 1e-3
 
-    def test_scalarfield_inputs_accepted(self):
-        grid = small_grid()
-        p = exponents_from_u(ScalarField(grid, np.full(grid.shape, 2.0)))
-        ds = assemble_dataset(
-            p,
-            c22=ScalarField(grid, np.ones(grid.shape)),
-            c33=ScalarField(grid, np.ones(grid.shape)),
-        )
-        assert np.all(ds.c[1] == 1.0)
+
+# what a NaN at one point of each data-stage input is rejected by
+_NAN_TEXT = {
+    "u": "u must be finite and exceed 1",
+    "p1": "exponent relations violated",
+    "p2": "exponent relations violated",
+    "p3": "exponent relations violated",
+    "c22": "c22 must be positive everywhere",
+    "c33": "c33 must be positive everywhere",
+    "kappa12": "c contains non-finite entries",
+    "c11_slice": "c11_slice must be finite",
+    "kappa23_slice": "kappa23_slice must be finite",
+    "kappa13_slice": "kappa13_slice must be finite",
+}
+
+
+@pytest.mark.parametrize("case", ["shape", "nan", "none"])
+@pytest.mark.parametrize("name", list(_NAN_TEXT))
+def test_every_data_stage_input_rejects_a_bad_value(name, case):
+    # each input in turn gets a wrong shape, a NaN at one point or None,
+    # with valid values everywhere else
+    grid = small_grid(8)
+    p = exponents_from_u(grid, 2.0)
+    exps = {"p1": p.p1, "p2": p.p2, "p3": p.p3}
+    inputs = {
+        "c22": 1.0,
+        "c33": 1.0,
+        "kappa12": 0.0,
+        "c11_slice": 1.0,
+        "kappa23_slice": 0.0,
+        "kappa13_slice": 0.0,
+    }
+    is_slice = name.endswith("_slice")
+    if case == "shape":
+        bad = np.ones((7, 7))
+        text = f"{name} must be scalar or shape" if is_slice else f"{name} has shape"
+    elif case == "nan":
+        valid = {"u": 2.0, **exps, **inputs}[name]
+        bad = np.broadcast_to(valid, (8, 8) if is_slice else grid.shape).copy()
+        bad[(1, 2, 3)[: bad.ndim]] = np.nan
+        text = _NAN_TEXT[name]
+    else:
+        bad = None
+        text = f"{name} must be finite" if is_slice else f"{name} is required"
+    with pytest.raises((ConfigError, GridError, DegenerateExponentsError), match=f"^{text}"):
+        if name == "u":
+            exponents_from_u(grid, bad)
+        elif name in exps:
+            KasnerExponents(grid, **{**exps, name: bad})
+        else:
+            assemble_dataset(p, **{**inputs, name: bad})
 
 
 def _set(c, i, j, value, point=(1, 2, 3)):
@@ -570,7 +639,7 @@ class TestDataSetValidation:
         with pytest.raises(ConfigError) as want:
             metric_check_reference(c)
         with pytest.raises(ConfigError) as got:
-            AsymptoticDataSet(grid, ds.p, c)
+            AsymptoticDataSet(ds.p, c)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
@@ -588,7 +657,7 @@ class TestDataSetValidation:
         with pytest.raises(ConfigError) as want:
             round_trip_reference(skewed_frame(ds.c), ds.c, metric_check_reference(ds.c))
         with pytest.raises(ConfigError, match="^metric/frame round trip failed") as got:
-            AsymptoticDataSet(grid, ds.p, ds.c)
+            AsymptoticDataSet(ds.p, ds.c)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("slot", range(6))
@@ -608,12 +677,12 @@ class TestDataSetValidation:
 
         monkeypatch.setattr(asymdata, "frame_matrix_from_metric", shifted_frame)
         if not fails:
-            AsymptoticDataSet(grid, ds.p, ds.c)
+            AsymptoticDataSet(ds.p, ds.c)
             return
         with pytest.raises(ConfigError) as want:
             round_trip_reference(shifted_frame(ds.c), ds.c, metric_check_reference(ds.c))
         with pytest.raises(ConfigError, match="^metric/frame round trip failed") as got:
-            AsymptoticDataSet(grid, ds.p, ds.c)
+            AsymptoticDataSet(ds.p, ds.c)
         assert str(got.value) == str(want.value)
 
     def test_rejects_a_full_matrix_by_its_shape(self):
@@ -622,7 +691,7 @@ class TestDataSetValidation:
         ds = random_dataset(grid, seed=2)
         text = r"^c must have the packed shape \(6,\) \+ grid.shape, got \(3, 3, 8, 8, 8\)$"
         with pytest.raises(GridError, match=text):
-            AsymptoticDataSet(grid, ds.p, unpack_slots(ds.c, symmetric=True))
+            AsymptoticDataSet(ds.p, unpack_slots(ds.c, symmetric=True))
 
 
 class TestPackedLayout:
@@ -678,7 +747,7 @@ class TestDataStageMemory:
     def test_assembly_holds_no_whole_matrix_temporary(self):
         grid = small_grid(12)
         u = u_wave_profile(grid)
-        p = exponents_from_u(ScalarField(grid, u))
+        p = exponents_from_u(grid, u)
         c22 = np.broadcast_to(np.exp(0.3 * np.sin(grid.mesh(3))), grid.shape).copy()
         c33 = u_wave_c33(u)
         assert _working_fields(lambda: assemble_dataset(p, c22, c33), grid) < self.WHOLE_MATRIX
@@ -686,7 +755,7 @@ class TestDataStageMemory:
     def test_validation_holds_no_whole_matrix_temporary(self):
         grid = small_grid(12)
         ds = random_dataset(grid, seed=0)
-        assert _working_fields(lambda: AsymptoticDataSet(grid, ds.p, ds.c), grid) < self.WHOLE_MATRIX
+        assert _working_fields(lambda: AsymptoticDataSet(ds.p, ds.c), grid) < self.WHOLE_MATRIX
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_momentum_residual_holds_no_kappa_matrix(self, i):

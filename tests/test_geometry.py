@@ -79,7 +79,7 @@ def smooth_symmetric(grid, amp=0.3):
 
 def kasner_state(grid, t, u0=2.0):
     """Exact homogeneous vacuum state at time t."""
-    p = exponents_from_u(ScalarField(grid, np.full(grid.shape, float(u0))))
+    p = exponents_from_u(grid, float(u0))
     pv = p.as_array()
     e = np.zeros((3, 3) + grid.shape)
     k = np.zeros((3, 3) + grid.shape)
@@ -101,7 +101,7 @@ def _dataset_with_nan_frame(grid, monkeypatch):
     frame = asymdata.frame_matrix_from_metric
     slot = asymdata.SLOTS.index((0, 1))
     monkeypatch.setattr(asymdata, "frame_matrix_from_metric", lambda c: _nan_at(frame(c), (slot, 2, 5, 1)))
-    return asymdata.AsymptoticDataSet(grid, data.p, data.c)
+    return asymdata.AsymptoticDataSet(data.p, data.c)
 
 
 class TestCoframe:

@@ -45,14 +45,15 @@ class TestHomogeneousTower:
         levels = build_tower(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid(), 2)
         base = levels[0]
         assert [lv.n for lv in levels] == [0, 1, 2]
+        assert base.envelope is None
         for lv in levels[1:]:
             assert np.array_equal(lv.e, base.e)
             assert np.array_equal(lv.k, base.k)
             # levels >= 1 invert e where level 0 uses h t^p: equal to rounding
             # (measured 3e-16 relative)
             assert np.all(np.abs(lv.omega - base.omega) <= 1e-15 * np.abs(base.omega))
-            assert lv.envelope_report[0]["fitted"] is None
-            assert lv.envelope_report[0]["status"] == "not checked"
+            assert lv.envelope["fitted"] is None
+            assert lv.envelope["status"] == "not checked"
 
 
 class TestTowerMatchesWholeSeriesFormulas:
@@ -67,7 +68,7 @@ class TestTowerMatchesWholeSeriesFormulas:
             assert level.omega.tobytes() == omega.tobytes()
             assert level.k.tobytes() == k.tobytes()
             assert level.asym_norms.tobytes() == asym_norms.tobytes()
-            assert level.envelope_report[0]["fitted"] == slope
+            assert level.envelope["fitted"] == slope
 
     @pytest.mark.filterwarnings("ignore:tower level")
     @pytest.mark.parametrize(
@@ -162,7 +163,7 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
     grid = SpatialGrid(DELTA, 8)
     p = homogeneous_dataset(grid).p
     c = np.array([1.0, 1.0, 1.0, 0.2, -0.1, 0.15])  # c11, c22, c33, c12, c23, c13
-    data = AsymptoticDataSet(grid, p, c[:, None, None, None] * np.ones(grid.shape))
+    data = AsymptoticDataSet(p, c[:, None, None, None] * np.ones(grid.shape))
     f = unpack_slots(data.f, symmetric=False)
     times = LogTimeGrid(1e-4, 1e-1, m)
     t = times.times
@@ -292,7 +293,7 @@ class TestHealthMemory:
 class TestEnvelopeReport:
     def test_u_wave_fits_inside_the_slack(self):
         levels = build_tower(u_wave_dataset(SpatialGrid(DELTA, 8)), time_grid(), 2)
-        assert [lv.envelope_report[0]["status"] for lv in levels[1:]] == ["ok", "ok"]
+        assert [lv.envelope["status"] for lv in levels[1:]] == ["ok", "ok"]
 
     def test_layered_fit_runs_on_the_positive_nodes_and_misses(self):
         # the tail closure leaves k[n] - k[n-1] exactly 0.0 at node 0; the
@@ -301,7 +302,7 @@ class TestEnvelopeReport:
         with pytest.warns(UserWarning, match="k-difference slope"):
             levels = build_tower(data, time_grid(), 2)
         for lv in levels[1:]:
-            report = lv.envelope_report[0]
+            report = lv.envelope
             assert report["status"] == "missed"
             assert report["fitted"] > 1.5
 
@@ -344,10 +345,14 @@ class TestFitDecayRate:
 
 
 class TestLevelIndexGuards:
-    @pytest.mark.parametrize("n_max", [-1, 5])
+    @pytest.mark.parametrize("n_max", [-1, 5, 0.5, 1.5])
     def test_tower_depth_outside_the_supported_levels_rejected(self, n_max):
         with pytest.raises(ConfigError, match=r"n_max must be in 0\.\.4, got "):
             build_tower(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid(), n_max)
+
+    def test_integral_float_depth_builds_those_levels(self):
+        levels = build_tower(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid(), 2.0)
+        assert [lv.n for lv in levels] == [0, 1, 2]
 
     def test_level_updates_start_at_level_one(self):
         zeroth = zeroth_iterate(homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid())
