@@ -39,7 +39,6 @@ itself; the test suite verifies this identity symbolically.
 """
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import ConfigError, DegenerateExponentsError, GridError
 from .grids import PERIODIC, ScalarField, fd_diff
@@ -294,8 +293,30 @@ class AsymptoticDataSet:
 
 
 def _cumint_x3(integrand, grid):
-    """Cumulative integral from x^3 = 0 along the last axis (composite Simpson)."""
-    return cumulative_simpson(integrand, dx=grid.h, axis=-1, initial=0.0)
+    """Cumulative integral from x^3 = 0 along the last axis: composite
+    Simpson on equal intervals h, with 0 at x^3 = 0.
+
+    The integral over [x_k, x_{k+1}] is a half-interval Simpson piece of the
+    parabola through (f1, f2, f3) = f(x_k), f(x_{k+1}), f(x_{k+2}):
+
+      first half   h/3 (5 f1/4 + 2 f2 - f3/4)   over [x_k, x_{k+1}]
+      second half  h/3 (5 f3/4 + 2 f2 - f1/4)   over [x_{k+1}, x_{k+2}]
+
+    for even k; the last interval is the second half at k = n - 3.  The
+    running sum of these pieces is the result.  This is scipy 1.17's
+    cumulative_simpson(integrand, dx=h, axis=-1, initial=0.0) on the same
+    operands in the same order; tests/test_asymdata.py pins the two bit for
+    bit.  The grid has n >= 8 points, so every interval has a parabola.
+    """
+    third = grid.h / 3
+    f1, f2, f3 = integrand[..., :-2:2], integrand[..., 1:-1:2], integrand[..., 2::2]
+    out = np.empty(integrand.shape)
+    out[..., 0] = 0.0
+    out[..., 1:-1:2] = third * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    out[..., 2::2] = third * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    f1, f2, f3 = integrand[..., -3], integrand[..., -2], integrand[..., -1]
+    out[..., -1] = third * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    return np.cumsum(out, axis=-1, out=out)
 
 
 def _check_gaps(p):
@@ -304,12 +325,14 @@ def _check_gaps(p):
 
 
 def _positive_diagonal(grid, **fields):
-    """The named diagonal metric entries as grid arrays, each checked positive."""
+    """The named diagonal metric entries as grid arrays, each checked finite
+    and positive."""
     arrays = []
     for name, x in fields.items():
         arr = _values_on(grid, x, name)
-        if not np.all(arr > 0.0):  # NaN-safe
-            raise ConfigError(f"{name} must be positive everywhere")
+        # NaN-safe: a NaN fails both comparisons
+        if not (np.all(arr > 0.0) and np.all(arr < np.inf)):
+            raise ConfigError(f"{name} must be finite and positive everywhere")
         arrays.append(arr)
     return arrays
 
@@ -332,7 +355,7 @@ def solve_c11(p, c22, c11_slice=1.0):
     log c11(x) = log c11(x^1, x^2, 0)
                  - int_0^{x^3} [ (p3-p2)/(p3-p1) D_3 log c22 + 2 D_3 p3 / (p3-p1) ] ds
 
-    Positive c22 and a positive slice at x^3 = 0 are required.  Returns
+    Finite positive c22 and a positive slice at x^3 = 0 are required.  Returns
     (c11, seam_jump), seam_jump the loop-integral mismatch of log c11 across
     the x^3 seam (None on a localized grid).
     """
@@ -401,6 +424,8 @@ def solve_kappa13(p, c11, c22, c33, kappa12, kappa13_slice=0.0):
     """
     grid = p.grid
     kappa12 = _values_on(grid, kappa12, "kappa12")
+    if not np.all(np.isfinite(kappa12)):
+        raise ConfigError("kappa12 must be finite")
 
     def rhs(log_c11, log_c22, log_c33, log_v):
         return 0.5 * (

@@ -193,6 +193,37 @@ class TestFrameMatrices:
         assert np.max(np.abs(prod - eye)) < 1e-13
 
 
+class TestCumulativeSimpson:
+    # _cumint_x3 is a port of scipy's equal-interval cumulative_simpson; these
+    # pin it to scipy's rounding, so a change to either shows here
+    @pytest.mark.parametrize("n", [8, 9, 33, 96])
+    def test_matches_scipy_bit_for_bit(self, n):
+        integrate = pytest.importorskip("scipy.integrate")
+        grid = small_grid(n)
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-5.0, 5.0, grid.shape)
+        want = integrate.cumulative_simpson(y, dx=grid.h, axis=-1, initial=0.0)
+        assert np.array_equal(asymdata._cumint_x3(y, grid), want)
+
+    def test_matches_scipy_on_the_u_wave_integrands(self, monkeypatch):
+        integrate = pytest.importorskip("scipy.integrate")
+        grid = small_grid(32)
+        port = asymdata._cumint_x3
+        seen = []
+
+        def record(integrand, grid):
+            seen.append(integrand)
+            return port(integrand, grid)
+
+        monkeypatch.setattr(asymdata, "_cumint_x3", record)
+        u_wave_dataset(grid)
+        # the c11, kappa_2^3 and kappa_1^3 integrands, in solve order
+        assert len(seen) == 3 and np.any(seen[0] != 0.0)
+        for integrand in seen:
+            want = integrate.cumulative_simpson(integrand, dx=grid.h, axis=-1, initial=0.0)
+            assert np.array_equal(port(integrand, grid), want)
+
+
 class TestSolveC11:
     def test_constant_extension(self):
         grid = small_grid()
@@ -250,7 +281,7 @@ class TestSolveC11:
             solve_c11(p, bad)
 
 
-@pytest.mark.parametrize("value", [0.0, np.nan])
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
 @pytest.mark.parametrize(
     "solve,field",
     [
@@ -264,12 +295,13 @@ class TestSolveC11:
     ],
 )
 def test_solves_name_the_nonpositive_field(solve, field, value):
-    # a NaN fails the positivity check as 0.0 does
+    # a NaN or an infinity fails the check as 0.0 does, before any transport
+    # arithmetic can warn
     grid = small_grid()
     p = exponents_from_u(grid, 2.0)
     diag = {name: np.ones(grid.shape) for name in ("c11", "c22", "c33")}
     diag[field][3, 1, 4] = value
-    with pytest.raises(ConfigError, match=f"^{field} must be positive"):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite and positive everywhere$"):
         if solve == "c11":
             solve_c11(p, diag["c22"])
         elif solve == "kappa23":
@@ -287,6 +319,16 @@ class TestKappaTransports:
         k13, _ = solve_kappa13(p, ones, ones, ones, kappa12=0.0)
         assert np.all(k23 == 0.0)
         assert np.all(k13 == 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_kappa13_rejects_a_non_finite_kappa12(self, value):
+        grid = small_grid()
+        p = exponents_from_u(grid, 2.0)
+        ones = np.ones(grid.shape)
+        kappa12 = np.zeros(grid.shape)
+        kappa12[3, 1, 4] = value
+        with pytest.raises(ConfigError, match="^kappa12 must be finite$"):
+            solve_kappa13(p, ones, ones, ones, kappa12)
 
     def test_kappa23_linear_growth_against_analytic(self):
         # exponents vary along x^2 only, c = identity: the transport reduces
@@ -570,9 +612,9 @@ _NAN_TEXT = {
     "p1": "exponent relations violated",
     "p2": "exponent relations violated",
     "p3": "exponent relations violated",
-    "c22": "c22 must be positive everywhere",
-    "c33": "c33 must be positive everywhere",
-    "kappa12": "c contains non-finite entries",
+    "c22": "c22 must be finite and positive everywhere",
+    "c33": "c33 must be finite and positive everywhere",
+    "kappa12": "kappa12 must be finite",
     "c11_slice": "c11_slice must be finite",
     "kappa23_slice": "kappa23_slice must be finite",
     "kappa13_slice": "kappa13_slice must be finite",

@@ -1,11 +1,13 @@
 """Packaging metadata and API surface: every entry point pyproject.toml
-declares must exist, every public function of the library must have a
-caller in the library or the benchmark, and every defaulted parameter of
-the library must be set by some call."""
+declares must exist, the library must import without scipy, every public
+function of the library must have a caller in the library or the benchmark,
+and every defaulted parameter of the library must be set by some call."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,25 @@ def test_declared_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_library_imports_without_scipy():
+    # scipy is a test dependency only: the library must not load it
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import kasnerlab\n"
+        "from kasnerlab import asymdata, families, geometry, grids, iteration\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _public_definitions(tree):
