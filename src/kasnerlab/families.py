@@ -106,32 +106,33 @@ def layered_dataset(grid):
     )
 
 
-def _trig_field(grid, rng, amp):
-    """Band-limited random trig polynomial with max amplitude <= amp.
-
-    Modes k in {-2..2}^3 \\ {0} with seeded coefficients; normalized by
-    the coefficient l1 norm so the sup bound is exact, then scaled by amp.
-    """
+def _trig_fields(grid, rng, amps):
+    """Random trig polynomials of sup at most amp, one per amp in amps: of
+    each pair +-k in {-2..2}^3 \\ {0} the mode with (k3, k2, k1) > 0
+    lexicographically, 62 modes (k3 in {0, 1, 2}, a half plane at k3 = 0),
+    each mode's cos and sin shared by the fields.  Coefficients are drawn
+    field by field, then mode by mode; each field is divided by its
+    coefficient l1 norm, summed in mode order, so the sup bound is exact."""
+    band = range(-2, 3)
+    modes = [(k1, k2, k3) for k1 in band for k2 in band for k3 in range(3) if (k3, k2, k1) > (0, 0, 0)]
     coords = [grid.mesh(ax) * (2.0 * np.pi / grid.delta) for ax in (1, 2, 3)]
-    out = np.zeros(grid.shape)
-    total = 0.0
-    for k1 in range(-2, 3):
-        for k2 in range(-2, 3):
-            for k3 in range(3):
-                if (k1, k2, k3) == (0, 0, 0) or (k3 == 0 and (k2 < 0 or (k2 == 0 and k1 < 0))):
-                    continue
-                a, b = rng.normal(size=2)
-                phase = k1 * coords[0] + k2 * coords[1] + k3 * coords[2]
-                out = out + a * np.cos(phase) + b * np.sin(phase)
-                total += abs(a) + abs(b)
-    return amp * out / total
+    coef = rng.normal(size=(len(amps), len(modes), 2))
+    out = np.zeros((len(amps),) + grid.shape)
+    for m, (k1, k2, k3) in enumerate(modes):
+        phase = k1 * coords[0] + k2 * coords[1] + k3 * coords[2]
+        cos, sin = np.cos(phase), np.sin(phase)
+        for field, (a, b) in zip(out, coef[:, m]):
+            field += a * cos
+            field += b * sin
+    total = np.cumsum(np.abs(coef[..., 0]) + np.abs(coef[..., 1]), axis=1)[:, -1]
+    return [amp * field / t for amp, field, t in zip(amps, out, total)]
 
 
 def random_dataset(grid, seed):
     """Seeded random data: type identities hold, differential constraint does not.
 
-    u - U0, log c_ii and c_ij (i < j) are _trig_fields of sup at most 0.25,
-    0.3 and 0.2, drawn in turn from the generator of `seed`.
+    u - U0, log c_ii, then c_12, c_13, c_23 (not slot order) are _trig_fields
+    of sup at most 0.25, 0.3 and 0.2, drawn in turn from the generator of seed.
 
     The tower does not run on these data.  At n=12, seed 3, on
     LogTimeGrid(1e-4, 1e-1, 41) it aborts in the level-1 k update: t^2 R[0]
@@ -140,13 +141,8 @@ def random_dataset(grid, seed):
     as flat.  With t_min = 1e-5 or 1e-8 the frame integrating factor
     exceeds its limit, and with 1e-6 the frame update has a flat head.
     """
-    rng = np.random.default_rng(seed)
-    u = U0 + _trig_field(grid, rng, 0.25)
-    p = exponents_from_u(grid, u)
+    u, *fields = _trig_fields(grid, np.random.default_rng(seed), (0.25,) + (0.3,) * 3 + (0.2,) * 3)
     c = np.empty((6,) + grid.shape)
-    for i in range(3):
-        c[i] = np.exp(_trig_field(grid, rng, 0.3))
-    # drawn in this order, not in slot order: the seed fixes the fields
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        c[SLOTS.index((i, j))] = _trig_field(grid, rng, 0.2)
-    return AsymptoticDataSet(p, c)
+    for pair, field in zip(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), fields):
+        c[SLOTS.index(pair)] = np.exp(field) if pair[0] == pair[1] else field
+    return AsymptoticDataSet(exponents_from_u(grid, U0 + u), c)

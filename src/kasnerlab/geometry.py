@@ -182,6 +182,8 @@ class FrameState:
         for name, arr in (("e", self.e), ("omega", self.omega), ("k", self.k), ("gamma", self.gamma)):
             if arr.shape != shape:
                 raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(self.t):
+            raise ConfigError(f"slice time must be finite, got {self.t}")
         if not self.t > 0:
             raise ConfigError(f"slice time must be positive, got {self.t}")
         prod = np.einsum("ia...,ac...->ic...", self.e, self.omega)

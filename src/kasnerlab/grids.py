@@ -228,6 +228,8 @@ def fd_time_diff(series, t):
     """d/dt along the leading (time-node) axis of a series sampled at
     positive nodes t uniform in log t, as on a LogTimeGrid: the stencil in
     s = log t with one-sided rows at the ends, then d/dt = (1/t) d/ds."""
+    if not np.all(np.isfinite(t)):
+        raise ConfigError("slice times must be finite")
     if np.any(t <= 0):
         raise ConfigError("slice times must be positive")
     _check_nodes(len(t))

@@ -15,7 +15,9 @@ stated relative tolerance where the summation order changed (gamma and the
 spatial Ricci).  The connection oracles work on all 27 slots gamma[I, J, B];
 tests compare the library's packed gamma through geometry._unpack_gamma.
 second_fundamental_from_frame is the whole-series k_tilde that
-spacetime_ricci_reference builds on.  The library itself never imports
+spacetime_ricci_reference builds on.  random_dataset_reference is the
+random family generated one field at a time, as the plain loop over modes
+it must reproduce bit for bit.  The library itself never imports
 this module.
 """
 
@@ -24,8 +26,15 @@ from unittest import mock
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kasnerlab.asymdata import DATASET_REL_TOL, SLOTS, AsymptoticDataSet, KasnerExponents
+from kasnerlab.asymdata import (
+    DATASET_REL_TOL,
+    SLOTS,
+    AsymptoticDataSet,
+    KasnerExponents,
+    exponents_from_u,
+)
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
+from kasnerlab.families import U0
 from kasnerlab.geometry import _momentum_core, coframe_from_frame, spatial_ricci
 from kasnerlab.grids import LOCALIZED, fd_diff, fd_time_diff
 from kasnerlab.iteration import (
@@ -656,3 +665,37 @@ def zeroth_series_reference(data, times):
                 if h[i, a].any():
                     omega[r, i, a] = h[i, a] * up[a]
     return e, omega, k
+
+
+def _trig_field_reference(grid, rng, amp):
+    """One band-limited random trig field of sup at most amp: its own cos and
+    sin per mode, a (a, b) draw per mode, normalized by the sequential
+    coefficient l1 sum."""
+    coords = [grid.mesh(ax) * (2.0 * np.pi / grid.delta) for ax in (1, 2, 3)]
+    out = np.zeros(grid.shape)
+    total = 0.0
+    for k1 in range(-2, 3):
+        for k2 in range(-2, 3):
+            for k3 in range(3):
+                if (k1, k2, k3) == (0, 0, 0) or (k3 == 0 and (k2 < 0 or (k2 == 0 and k1 < 0))):
+                    continue
+                a, b = rng.normal(size=2)
+                phase = k1 * coords[0] + k2 * coords[1] + k3 * coords[2]
+                out = out + a * np.cos(phase) + b * np.sin(phase)
+                total += abs(a) + abs(b)
+    return amp * out / total
+
+
+def random_dataset_reference(grid, seed):
+    """The random family field by field: u - U0 (sup 0.25), log c_11, log
+    c_22, log c_33 (0.3 each), then c_12, c_13, c_23 (0.2 each), drawn in
+    that order from the generator of seed."""
+    rng = np.random.default_rng(seed)
+    u = U0 + _trig_field_reference(grid, rng, 0.25)
+    p = exponents_from_u(grid, u)
+    c = np.empty((6,) + grid.shape)
+    for i in range(3):
+        c[i] = np.exp(_trig_field_reference(grid, rng, 0.3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        c[SLOTS.index((i, j))] = _trig_field_reference(grid, rng, 0.2)
+    return AsymptoticDataSet(p, c)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kasnerlab import asymdata
+from kasnerlab import asymdata, families
 from kasnerlab.asymdata import (
     DATASET_REL_TOL,
     SLOTS,
@@ -31,6 +31,7 @@ from kasnerlab.asymdata import (
 )
 from kasnerlab.errors import ConfigError, DegenerateExponentsError, GridError
 from kasnerlab.families import (
+    U0,
     homogeneous_dataset,
     layered_dataset,
     random_dataset,
@@ -49,6 +50,7 @@ from oracles import (
     ode_reference,
     perturb_offdiagonal,
     quad_cumulative,
+    random_dataset_reference,
     round_trip_reference,
     seam_reference,
     sympy_residual_gaps,
@@ -836,3 +838,32 @@ class TestUWaveClosedForm:
 
     def test_normalized_at_reference(self):
         assert u_wave_c33(2.0) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRandomFamily:
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("seed", [0, 3, [0, 1], [7, 5]], ids=["0", "3", "0-1", "7-5"])
+    def test_matches_per_field_reference_bit_for_bit(self, n, seed):
+        # sharing each mode's cos and sin across the fields keeps every
+        # field's draws, accumulation order and l1 sum
+        grid = small_grid(n)
+        ds, ref = random_dataset(grid, seed), random_dataset_reference(grid, seed)
+        assert ds.c.tobytes() == ref.c.tobytes()
+        assert ds.p.as_array().tobytes() == ref.p.as_array().tobytes()
+
+    def test_one_cos_and_one_sin_per_mode(self, monkeypatch):
+        calls = []
+        for name in ("cos", "sin"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, real=real, name=name: calls.append(name) or real(x))
+        random_dataset(SpatialGrid(2 * np.pi, 8), seed=0)
+        assert (calls.count("cos"), calls.count("sin")) == (62, 62)
+
+    def test_documented_sup_bounds(self, monkeypatch):
+        drawn = []
+        real = families.exponents_from_u
+        monkeypatch.setattr(families, "exponents_from_u", lambda grid, u: drawn.append(u) or real(grid, u))
+        ds = random_dataset(small_grid(12), seed=0)
+        assert np.max(np.abs(drawn[0] - U0)) <= 0.25
+        assert np.max(np.abs(np.log(ds.c[:3]))) <= 0.3
+        assert np.max(np.abs(ds.c[3:])) <= 0.2

@@ -420,6 +420,12 @@ class TestFrameState:
         with pytest.raises(ConfigError):
             FrameState(grid, st.e, st.omega, st.k, st.gamma, 0.0)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_validation_rejects_nonfinite_time(self, t):
+        st = kasner_state(SpatialGrid(DELTA, 8), 0.5)
+        with pytest.raises(ConfigError, match=f"^slice time must be finite, got {t}$"):
+            FrameState(st.grid, st.e, st.omega, st.k, st.gamma, t)
+
 
     @pytest.mark.parametrize(
         "build, error, text",

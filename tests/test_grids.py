@@ -254,8 +254,10 @@ class TestFdTimeDiff:
             ([0.1, 0.2, 0.0, 0.4, 0.5], "slice times must be positive"),
             ([0.5] * 5, "time spacing is zero"),
             ([0.1, 0.2, 0.3, 0.4, 0.5], "t_nodes must be uniform in log t"),
+            ([0.1, 0.2, np.inf, 0.4, 0.5], "slice times must be finite"),
+            ([0.1, 0.2, np.nan, 0.4, 0.5], "slice times must be finite"),
         ],
-        ids=["zero", "repeated", "uniform-in-t"],
+        ids=["zero", "repeated", "uniform-in-t", "inf", "nan"],
     )
     def test_bad_nodes_rejected(self, nodes, text):
         with pytest.raises(ConfigError, match=f"^{text}$"):

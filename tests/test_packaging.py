@@ -1,11 +1,14 @@
 """Packaging metadata and API surface: every entry point pyproject.toml
-declares must exist, the library must import without scipy, every public
-function of the library must have a caller in the library or the benchmark,
-and every defaulted parameter of the library must be set by some call."""
+declares must exist, the library must import without scipy, every
+third-party module the tests import must be a declared dependency, every
+public function of the library must have a caller in the library or the
+benchmark, and every defaulted parameter of the library must be set by some
+call."""
 
 import ast
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -41,6 +44,60 @@ def test_library_imports_without_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _third_party_imports(trees, local):
+    """Top-level modules the trees import anywhere, nested imports included,
+    less the standard library, kasnerlab, relative imports and the local
+    modules named in local, sorted."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"kasnerlab"} - set(local))
+
+
+def _normalized(name):
+    """A module or distribution name in PEP 503 form: each run of -, _ and .
+    one -, in lower case, so an import name matches its distribution's."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def _requirement_names(requirements):
+    """Normalized distribution names of PEP 508 requirement strings."""
+    return {_normalized(re.match(r"[A-Za-z0-9._-]+", r).group()) for r in requirements}
+
+
+def test_test_imports_are_declared():
+    # every third-party module a test imports is a runtime dependency or is
+    # named in the test extra, so `pip install .[test]` can run the suite
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = _requirement_names(project["dependencies"] + project["optional-dependencies"]["test"])
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    imported = _third_party_imports([ast.parse(p.read_text()) for p in paths], [p.stem for p in paths])
+    assert {"numpy", "pytest", "scipy"} <= set(imported)
+    assert [name for name in imported if _normalized(name) not in declared] == []
+
+
+def test_import_guard_counts_nested_imports_only_of_third_parties():
+    tree = ast.parse(
+        "import os.path\n"
+        "import numpy as np\n"
+        "from kasnerlab.grids import SpatialGrid\n"
+        "from oracles import unpack_slots\n"
+        "from . import sibling\n"
+        "def late():\n"
+        "    import sympy\n"
+        "    from scipy.integrate import solve_ivp\n"
+    )
+    assert _third_party_imports([tree], ["oracles"]) == ["numpy", "scipy", "sympy"]
+    assert _requirement_names(["numpy>=1.24", "Typing_Extensions[x] ; python_version>'3'", "sympy"]) == {
+        "numpy", "typing-extensions", "sympy"
+    }
+    assert _normalized("typing_extensions") == "typing-extensions"
 
 
 def _public_definitions(tree):
