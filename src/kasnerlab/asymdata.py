@@ -1,24 +1,25 @@
 """Asymptotic data on the singularity.
 
 Builds and validates the data that parametrize a Kasner-like singularity:
-position-dependent exponents p_i, leading metric coefficients c_ij and the
-upper-triangular frame matrix f_Ia.  A data set stores p, c and f only.  The
+position-dependent exponents p_i and leading metric coefficients c_ij.  A
+data set stores p and c only.  The upper-triangular frame matrix f_Ia, the
 coframe h = f^{-1} and the kappa fields that encode the off-diagonal
-momentum content are closed forms of (p, c); each entry is formed where it
-is read (_coframe_entry, _kappa_entry) and never stored.  The differential
-constraint is enforced by integrating transport equations along x^3 lines;
-the free inputs are three 3-variable functions (c22, c33, kappa_1^2) and
-three 2-variable slices at x^3 = 0 (c11, kappa_2^3, kappa_1^3), matching
-the degrees-of-freedom count of the underlying existence argument.
+momentum content are closed forms of (p, c), formed where they are read
+(frame_matrix_from_metric, _FrameSlots, _coframe_entry, _kappa_entry) and
+never stored.  The differential constraint is enforced by integrating
+transport equations along x^3 lines; the free inputs are three 3-variable
+functions (c22, c33, kappa_1^2) and three 2-variable slices at x^3 = 0
+(c11, kappa_2^3, kappa_1^3), matching the degrees-of-freedom count of the
+underlying existence argument.
 
 Conventions
 -----------
-The symmetric c and the upper-triangular f are stored packed, each
-independent entry once: an ndarray of shape (6,) + grid.shape whose slot s
-holds entry SLOTS[s] = (i, j), i <= j, 0-based, in the order 00, 11, 22,
-01, 12, 02 (so slot i < 3 is the diagonal entry ii); slot s of h, formed
-by _coframe_entry, is entry SLOTS[s] too.  No other layout exists: the
-mirrored entries of c and the zero lower entries of f are never stored.
+The symmetric c is stored packed, each independent entry once: an ndarray
+of shape (6,) + grid.shape whose slot s holds entry SLOTS[s] = (i, j),
+i <= j, 0-based, in the order 00, 11, 22, 01, 12, 02 (so slot i < 3 is the
+diagonal entry ii); slot s of the upper-triangular f and h, wherever they
+are formed, is entry SLOTS[s] too.  No other layout exists: the mirrored
+entries of c and the zero lower entries of f and h are never formed.
 Public operations that take a direction use 1-based labels i, I in {1,2,3}
 to match the coordinate names x^1, x^2, x^3.  Every 3-variable input (u,
 the p_i, c22, c33, kappa_1^2) is a scalar, constant over the grid, or an
@@ -156,32 +157,85 @@ SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
 
 def frame_matrix_from_metric(c):
     """Upper-triangular frame coefficients f_Ia from the symmetric c, both
-    packed in SLOTS order."""
-    c11, c22, c33, c12, c23, c13 = c
+    packed in SLOTS order: the diagonal f_ii = c_ii^(-1/2), then each
+    off-diagonal slot by _frame_entry.  A data set does not store f; its
+    readers form it from c, whole (zeroth_iterate, IterateSet.coframe_at,
+    the data set's round-trip check) or slot by slot (_FrameSlots)."""
     f = np.empty_like(c)
-    f[0] = c11 ** -0.5
-    f[1] = c22 ** -0.5
-    f[2] = c33 ** -0.5
-    f[3] = -f[0] * c12 / c22
-    f[4] = -f[1] * c23 / c33
-    f[5] = f[0] * (c12 * c23 / (c22 * c33) - c13 / c33)
+    np.power(c[:3], -0.5, out=f[:3])
+    for s in range(3, len(SLOTS)):
+        f[s] = _frame_entry(c, f, s)
     return f
+
+
+def _frame_entry(c, diag, s):
+    """Off-diagonal slot s >= 3 of f from the packed c and the diagonal
+    slots diag[i] = c_ii^(-1/2),
+
+      f_12 = -f_11 c12 / c22,  f_23 = -f_22 c23 / c33,
+      f_13 = f_11 (c12 c23 / (c22 c33) - c13 / c33),
+
+    as a new field; in-place steps keep at most one further field live.
+    They take the operations of these expressions in their order (the two
+    factors of a product commute in floating point), so every frame reader
+    gets the same bits."""
+    if s < 5:
+        i = s - 3
+        out = np.negative(diag[i])
+        out *= c[s]
+        out /= c[i + 1]
+        return out
+    out = c[3] * c[4]
+    tmp = c[1] * c[2]
+    out /= tmp
+    np.divide(c[5], c[2], out=tmp)
+    out -= tmp
+    out *= diag[0]
+    return out
+
+
+class _FrameSlots:
+    """The packed f of a packed c, read slot by slot as f[s]: the diagonal
+    c_ii^(-1/2), where the cost of forming f lies, is formed once and held;
+    each off-diagonal slot is formed anew by _frame_entry on each read, so
+    it lives only as long as its reader holds it."""
+
+    def __init__(self, c):
+        self.c = c
+        self.diag = np.power(c[:3], -0.5)
+
+    def __getitem__(self, s):
+        return self.diag[s] if s < 3 else _frame_entry(self.c, self.diag, s)
 
 
 def _metric_entry(f, s):
     """Slot s of c from the packed frame coefficients: the closed-form
-    inverse of frame_matrix_from_metric, one slot at a time."""
+    inverse of frame_matrix_from_metric, one slot at a time,
+
+      c_ii = f_ii^-2,  c_i(i+1) = -f_i(i+1) / (f_ii f_(i+1)(i+1)^2),
+      c_13 = (f_12 f_23 / f_22 - f_13) / (f_11 f_33^2),
+
+    as a new field; in-place steps keep at most one further field live."""
     i, j = SLOTS[s]
     if i == j:
         return f[s] ** -2.0
     if j == i + 1:
-        return -f[s] / (f[i] * f[j] ** 2)
-    return (f[3] * f[4] / f[1] - f[5]) / (f[0] * f[2] ** 2)
+        out = np.negative(f[s])
+        den = f[j] ** 2
+        den *= f[i]
+    else:
+        out = f[3] * f[4]
+        out /= f[1]
+        out -= f[5]
+        den = f[2] ** 2
+        den *= f[0]
+    out /= den
+    return out
 
 
 def _coframe_entry(f, s):
-    """Slot s of h = f^{-1} from the packed frame coefficients, in closed
-    form, one slot at a time."""
+    """Slot s of h = f^{-1} from the packed frame coefficients f (an array,
+    or _FrameSlots), in closed form, one slot at a time."""
     i, j = SLOTS[s]
     if i == j:
         return 1.0 / f[s]
@@ -227,20 +281,21 @@ class SeamReport:
 def _max_abs(fields):
     """max|x| over a sequence of grid fields, one field at a time: no
     whole-matrix |x| is formed, and a NaN propagates as in np.max."""
-    return float(np.max([np.max(np.abs(x)) for x in fields]))
+    # map drops each field once its max is taken, before the next is formed
+    return float(np.max(list(map(lambda x: np.max(np.abs(x)), fields))))
 
 
 class AsymptoticDataSet:
-    """Exponents plus metric/frame coefficient blocks forming data on the singularity.
+    """Exponents plus metric coefficients forming data on the singularity.
 
-    Holds grid (p's grid), p, c, f and seam, and nothing else.  c and f are
-    packed, shape (6,) + grid.shape in SLOTS order: the 6 entries of the
-    symmetric c and the 6 upper-triangular entries of f.  Construction takes
-    c in that layout only and derives f from it, so the pointwise
-    coefficient identities hold by construction.  The coframe h and the
-    kappa fields are not stored: readers form each entry where they read it,
-    by _coframe_entry and _kappa_entry.  Validation checks positivity,
-    finiteness, and the c -> f -> c round trip to DATASET_REL_TOL.  The
+    Holds grid (p's grid), p, c and seam, and nothing else: 9 grid fields.
+    c is packed, shape (6,) + grid.shape in SLOTS order, and construction
+    takes it in that layout only.  The frame f, the coframe h and the kappa
+    fields are closed forms of (p, c) and are not stored: readers form them
+    where they read them, by frame_matrix_from_metric (or _FrameSlots),
+    _coframe_entry and _kappa_entry, so the pointwise coefficient identities
+    hold by construction.  Validation checks positivity, finiteness, and the
+    c -> f -> c round trip to DATASET_REL_TOL.  The
     layout cannot hold an asymmetric c, so no symmetry check exists.  The
     momentum residuals are NOT checked here -- data violating the
     differential constraint are legitimate objects (that is the point of the
@@ -255,10 +310,8 @@ class AsymptoticDataSet:
         self.grid = grid
         self.p = p
         self.c = c
-        scale = self._validate_metric()
-        self.f = frame_matrix_from_metric(c)
         self.seam = seam
-        self._validate_round_trip(scale)
+        self._validate_round_trip(self._validate_metric())
 
     def _validate_metric(self):
         """Finite, positive-diagonal c; returns max|c|."""
@@ -275,9 +328,11 @@ class AsymptoticDataSet:
         return _max_abs(c)
 
     def _validate_round_trip(self, scale):
-        """max|c(f) - c| within DATASET_REL_TOL of scale, with c(f) the metric
-        that _metric_entry rebuilds from f, one slot at a time."""
-        err = _max_abs(_metric_entry(self.f, s) - self.c[s] for s in range(len(SLOTS)))
+        """max|c(f) - c| within DATASET_REL_TOL of scale, with f formed from c
+        by frame_matrix_from_metric, held for this check only, and c(f) the
+        metric that _metric_entry rebuilds from f, one slot at a time."""
+        f = frame_matrix_from_metric(self.c)
+        err = _max_abs(_metric_entry(f, s) - self.c[s] for s in range(len(SLOTS)))
         if not err <= DATASET_REL_TOL * scale:
             raise ConfigError(
                 f"metric/frame round trip failed: max error {err:.3e} vs scale {scale:.3e}"
@@ -528,32 +583,43 @@ def frame_momentum_residual(data, big_i):
     frame_I = E_I p_I + sum_J (p_J - p_I) E_I log f_JJ
               - sum_{J>=I} sum_{I<=a<=J} (p_J - p_I) h_aJ E_J f_Ia
 
-    with E_I = sum_{a>=I} f_Ia D_a.  Computed from the stored f slots
-    (entry (I, a), I <= a, at slot SLOTS.index((I, a))) and the h slots,
-    each formed from f by _coframe_entry where it is read; the metric-form
-    residual never enters.
+    with E_I = sum_{a>=I} f_Ia D_a.  Computed from c through _FrameSlots:
+    the diagonal f slots are formed once per call, each off-diagonal f slot
+    (entry (I, a), I < a, at slot SLOTS.index((I, a))) and each h slot, by
+    _coframe_entry, where it is read.  The metric-form residual never
+    enters.  Each product is taken in place on a fresh field, its factors
+    in the formula's order, so the result is the same bits as from a whole
+    f, and fewer than 9 grid fields are live beyond it.
     """
     if big_i not in (1, 2, 3):
         raise ConfigError(f"frame row must be 1..3, got {big_i}")
     grid = data.grid
     bi = big_i - 1
     p = (data.p.p1, data.p.p2, data.p.p3)
-    f = data.f
+    f = _FrameSlots(data.c)
 
+    def scaled(term, weight):
+        term *= weight
+        return term
+
+    # each term is a fresh field, scaled in place and added to its sum
+    # before the next one is formed
     def ee(row, arr):
         out = np.zeros(grid.shape)
         for a in range(row, 3):
-            out += f[SLOTS.index((row, a))] * fd_diff(arr, a + 1, grid)
+            out += scaled(fd_diff(arr, a + 1, grid), f[SLOTS.index((row, a))])
         return out
 
     res = ee(bi, p[bi])
     for j in range(3):
-        if j == bi:
-            continue
-        res += (p[j] - p[bi]) * ee(bi, np.log(f[j]))
+        if j != bi:
+            res += scaled(ee(bi, np.log(f[j])), p[j] - p[bi])
     for j in range(bi + 1, 3):
         for a in range(bi, j + 1):
-            # (p_J - p_I) h_aJ, with h_aJ formed here
-            weight = (p[j] - p[bi]) * _coframe_entry(f, SLOTS.index((a, j)))
-            res -= weight * ee(j, f[SLOTS.index((bi, a))])
+            # E_J f_Ia, then its weight (p_J - p_I) h_aJ with h_aJ formed
+            # here, so that the weight is not held while E_J runs
+            res -= scaled(
+                ee(j, f[SLOTS.index((bi, a))]),
+                scaled(_coframe_entry(f, SLOTS.index((a, j))), p[j] - p[bi]),
+            )
     return ScalarField(grid, res)

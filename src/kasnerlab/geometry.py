@@ -179,9 +179,16 @@ class FrameState:
 
     def _validate(self):
         shape = (3, 3) + self.grid.shape
-        for name, arr in (("e", self.e), ("omega", self.omega), ("k", self.k), ("gamma", self.gamma)):
+        fields = (("e", self.e), ("omega", self.omega), ("k", self.k), ("gamma", self.gamma))
+        for name, arr in fields:
             if arr.shape != shape:
                 raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+        # before the identity and symmetry checks, whose deviations a
+        # non-finite entry would turn into nan or a numpy warning
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                raise ConfigError(f"{name} has a non-finite value at index {bad}")
         if not np.isfinite(self.t):
             raise ConfigError(f"slice time must be finite, got {self.t}")
         if not self.t > 0:
@@ -196,9 +203,6 @@ class FrameState:
         ksym = np.max(np.abs(self.k - np.swapaxes(self.k, 0, 1)))
         if not ksym <= 1e-12 * max(np.max(np.abs(self.k)), 1.0):
             raise ConfigError(f"k is not symmetric (deviation {ksym:.3e})")
-        if not np.all(np.isfinite(self.gamma)):
-            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(self.gamma))[0])
-            raise ConfigError(f"gamma has a non-finite value at index {bad}")
 
 
 def hamiltonian_residual(state):
@@ -284,6 +288,9 @@ def spacetime_ricci(states):
     if len(states) < 5:
         raise ConfigError(f"need at least 5 consecutive slices, got {len(states)}")
     grid = states[0].grid
+    for r, st in enumerate(states):
+        if st.grid != grid:
+            raise ConfigError(f"slice {r} is on {st.grid!r}, not on slice 0's {grid!r}")
     t = np.array([st.t for st in states])
     # kt[r, I, J] = omega[r, a, J] (d_t e)[r, I, a], written node by node
     # over d_t e from each state's own coframe

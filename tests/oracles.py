@@ -32,6 +32,7 @@ from kasnerlab.asymdata import (
     AsymptoticDataSet,
     KasnerExponents,
     exponents_from_u,
+    frame_matrix_from_metric,
 )
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.families import U0
@@ -645,11 +646,38 @@ def tower_reference(data, times, n_max, noise_floor=0.0):
     return out
 
 
+def frame_momentum_residual_reference(data, big_i):
+    """asymdata.frame_momentum_residual from the whole f and h matrices,
+    f by frame_matrix_reference from the full c and h by
+    coframe_matrix_reference, each product formed by a plain expression."""
+    grid = data.grid
+    bi = big_i - 1
+    p = (data.p.p1, data.p.p2, data.p.p3)
+    f = frame_matrix_reference(unpack_slots(data.c, symmetric=True))
+    h = coframe_matrix_reference(f)
+
+    def ee(row, arr):
+        out = np.zeros(grid.shape)
+        for a in range(row, 3):
+            out += f[row, a] * fd_diff(arr, a + 1, grid)
+        return out
+
+    res = ee(bi, p[bi])
+    for j in range(3):
+        if j != bi:
+            res += (p[j] - p[bi]) * ee(bi, np.log(f[j, j]))
+    for j in range(bi + 1, 3):
+        for a in range(bi, j + 1):
+            weight = (p[j] - p[bi]) * h[a, j]
+            res -= weight * ee(j, f[bi, a])
+    return res
+
+
 def zeroth_series_reference(data, times):
     """Closed-form level-0 series (e, omega, k), node by node: e = f t^-p,
     omega = h t^p, k = -diag(p)/t, with identically zero entries left +0.0."""
     pv = data.p.as_array()
-    f = unpack_slots(data.f, symmetric=False)
+    f = unpack_slots(frame_matrix_from_metric(data.c), symmetric=False)
     h = coframe_matrix_reference(f)
     shape = (times.n_steps, 3, 3) + data.grid.shape
     e, omega, k = np.zeros(shape), np.zeros(shape), np.zeros(shape)

@@ -44,6 +44,7 @@ from kasnerlab.grids import ScalarField, SpatialGrid
 from oracles import (
     coframe_matrix_reference,
     frame_matrix_reference,
+    frame_momentum_residual_reference,
     kappa_reference,
     metric_check_reference,
     metric_from_frame_reference,
@@ -466,7 +467,8 @@ class TestResidualEquivalence:
         ds = random_dataset(grid, seed=11)
         frame = np.stack([frame_momentum_residual(ds, i).values for i in (1, 2, 3)])
         mom = np.stack([momentum_residual(ds, i).values for i in (1, 2, 3)])
-        combo = -0.5 * np.einsum("ia...,a...->i...", unpack_slots(ds.f, symmetric=False), mom)
+        f = unpack_slots(frame_matrix_from_metric(ds.c), symmetric=False)
+        combo = -0.5 * np.einsum("ia...,a...->i...", f, mom)
         scale = np.max(np.abs(frame))
         rel = np.max(np.abs(frame - combo)) / scale
         assert rel <= 1e-6 + 10.0 * grid.h**4
@@ -478,7 +480,7 @@ class TestResidualEquivalence:
         ds = random_dataset(grid, seed=5)
         frame3 = frame_momentum_residual(ds, 3).values
         mom3 = momentum_residual(ds, 3).values
-        gap = frame3 + 0.5 * ds.f[2] * mom3
+        gap = frame3 + 0.5 * frame_matrix_from_metric(ds.c)[2] * mom3
         assert np.max(np.abs(gap)) < 1e-12 * np.max(np.abs(frame3))
 
     def test_homogeneous_zero(self):
@@ -486,12 +488,28 @@ class TestResidualEquivalence:
         for i in (1, 2, 3):
             assert np.all(frame_momentum_residual(ds, i).values == 0.0)
 
+    @pytest.mark.parametrize(
+        "family",
+        [u_wave_dataset, layered_dataset, lambda grid: random_dataset(grid, seed=3)],
+        ids=["u-wave", "layered", "random"],
+    )
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_matches_the_whole_frame_reference_bit_for_bit(self, family, n):
+        # f formed slot by slot from c, with in-place products, against the
+        # whole f and h matrices and plain expressions; tobytes also tells
+        # +0.0 from -0.0
+        ds = family(small_grid(n))
+        for big_i in (1, 2, 3):
+            got = frame_momentum_residual(ds, big_i).values
+            assert got.tobytes() == frame_momentum_residual_reference(ds, big_i).tobytes()
+
     def test_numeric_identity_on_perturbed_data(self):
         grid = small_grid(24)
         bad = perturb_offdiagonal(u_wave_dataset(grid), amp=0.01, entry=(1, 2), axis=2)
         frame = np.stack([frame_momentum_residual(bad, i).values for i in (1, 2, 3)])
         mom = np.stack([momentum_residual(bad, i).values for i in (1, 2, 3)])
-        combo = -0.5 * np.einsum("ia...,a...->i...", unpack_slots(bad.f, symmetric=False), mom)
+        f = unpack_slots(frame_matrix_from_metric(bad.c), symmetric=False)
+        combo = -0.5 * np.einsum("ia...,a...->i...", f, mom)
         scale = np.max(np.abs(frame))
         assert scale > 1e-4  # the perturbation actually lights up
         assert np.max(np.abs(frame - combo)) / scale <= 1e-6 + 10.0 * grid.h**4
@@ -755,19 +773,24 @@ class TestPackedLayout:
         ds = family(small_grid(n))
         c = unpack_slots(ds.c, symmetric=True)
         f = frame_matrix_reference(c)
-        assert unpack_slots(ds.f, symmetric=False).tobytes() == f.tobytes()
-        h = _coframe_slots(ds.f)
+        got = frame_matrix_from_metric(ds.c)
+        assert unpack_slots(got, symmetric=False).tobytes() == f.tobytes()
+        # the slot-by-slot reader of the frame residual forms the same f
+        slots = asymdata._FrameSlots(ds.c)
+        assert np.stack([slots[s] for s in range(len(SLOTS))]).tobytes() == got.tobytes()
+        h = _coframe_slots(got)
         assert unpack_slots(h, symmetric=False).tobytes() == coframe_matrix_reference(f).tobytes()
+        assert _coframe_slots(slots).tobytes() == h.tobytes()
         for got, want in zip(_kappa_fields(ds), kappa_reference(ds.p, c)):
             assert got.tobytes() == want.tobytes()
 
     def test_dataset_holds_each_independent_entry_once(self):
-        # c 6, f 6, p 3: no mirrored or zero entry is stored, and neither h
-        # nor the kappa fields, which are formed where they are read
+        # c 6, p 3: no mirrored or zero entry is stored, and neither f nor h
+        # nor the kappa fields, which are formed from c where they are read
         grid = small_grid(8)
         ds = random_dataset(grid, seed=0)
         held = sum(a.nbytes for obj in (ds, ds.p) for a in vars(obj).values() if isinstance(a, np.ndarray))
-        assert held == 15 * np.zeros(grid.shape).nbytes
+        assert held == 9 * np.zeros(grid.shape).nbytes
 
 
 def _working_fields(call, grid):

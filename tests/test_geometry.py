@@ -7,6 +7,7 @@ computation. Bounds marked [measured] were frozen from refinement studies
 (values quoted in comments) and sit 2-5x above the observed level.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,13 @@ def _nan_at(a, index):
     return a
 
 
+def _inf_at(a, index):
+    """Copy of a with an inf at index."""
+    a = a.copy()
+    a[index] = np.inf
+    return a
+
+
 def _dataset_with_nan_frame(grid, monkeypatch):
     data = random_dataset(grid, seed=0)
     frame = asymdata.frame_matrix_from_metric
@@ -139,8 +147,9 @@ class TestCoframe:
         ds = u_wave_dataset(grid)
         pv = ds.p.as_array()
         t = 0.7
-        e0 = unpack_slots(ds.f, symmetric=False) * t ** (-pv[:, None])
-        om0 = coframe_matrix_reference(unpack_slots(ds.f, symmetric=False)) * t ** pv[None, :]
+        f = unpack_slots(asymdata.frame_matrix_from_metric(ds.c), symmetric=False)
+        e0 = f * t ** (-pv[:, None])
+        om0 = coframe_matrix_reference(f) * t ** pv[None, :]
         om = coframe_from_frame(e0)
         assert np.max(np.abs(om - om0)) < 1e-12 * np.max(np.abs(om0))
 
@@ -393,7 +402,7 @@ class TestFrameState:
     def test_validation_catches_broken_inverse(self):
         grid = SpatialGrid(DELTA, 8)
         st = kasner_state(grid, 0.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^e\*omega deviates from identity by "):
             FrameState(grid, st.e, st.omega + 1e-6, st.k, st.gamma, st.t)
 
     def test_validation_catches_asymmetric_k(self):
@@ -401,7 +410,7 @@ class TestFrameState:
         st = kasner_state(grid, 0.5)
         k = st.k.copy()
         k[0, 1] += 1e-3
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^k is not symmetric \(deviation "):
             FrameState(grid, st.e, st.omega, k, st.gamma, st.t)
 
     def test_validation_rejects_a_27_slot_gamma(self):
@@ -433,12 +442,37 @@ class TestFrameState:
             (
                 lambda st, mp: FrameState(st.grid, _nan_at(st.e, (0, 1, 2, 5, 1)), st.omega, st.k, st.gamma, st.t),
                 ConfigError,
-                r"^e\*omega deviates from identity by nan$",
+                r"^e has a non-finite value at index \(0, 1, 2, 5, 1\)$",
             ),
             (
                 lambda st, mp: FrameState(st.grid, st.e, st.omega, _nan_at(st.k, (0, 1, 2, 5, 1)), st.gamma, st.t),
                 ConfigError,
-                r"^k is not symmetric \(deviation nan\)$",
+                r"^k has a non-finite value at index \(0, 1, 2, 5, 1\)$",
+            ),
+            (
+                lambda st, mp: FrameState(st.grid, st.e, _nan_at(st.omega, (1, 2, 2, 5, 1)), st.k, st.gamma, st.t),
+                ConfigError,
+                r"^omega has a non-finite value at index \(1, 2, 2, 5, 1\)$",
+            ),
+            (
+                lambda st, mp: FrameState(st.grid, _inf_at(st.e, (2, 2, 0, 3, 7)), st.omega, st.k, st.gamma, st.t),
+                ConfigError,
+                r"^e has a non-finite value at index \(2, 2, 0, 3, 7\)$",
+            ),
+            (
+                lambda st, mp: FrameState(st.grid, st.e, _inf_at(st.omega, (0, 0, 4, 4, 4)), st.k, st.gamma, st.t),
+                ConfigError,
+                r"^omega has a non-finite value at index \(0, 0, 4, 4, 4\)$",
+            ),
+            (
+                lambda st, mp: FrameState(st.grid, st.e, st.omega, _inf_at(st.k, (0, 1, 2, 5, 1)), st.gamma, st.t),
+                ConfigError,
+                r"^k has a non-finite value at index \(0, 1, 2, 5, 1\)$",
+            ),
+            (
+                lambda st, mp: FrameState(st.grid, st.e, st.omega, st.k, _inf_at(st.gamma, (2, 0, 1, 1, 1)), st.t),
+                ConfigError,
+                r"^gamma has a non-finite value at index \(2, 0, 1, 1, 1\)$",
             ),
             (
                 lambda st, mp: FrameState(st.grid, st.e, st.omega, st.k, _nan_at(st.gamma, (0, 1, 2, 5, 1)), st.t),
@@ -456,11 +490,25 @@ class TestFrameState:
                 r"^metric/frame round trip failed: max error nan vs scale",
             ),
         ],
-        ids=["identity", "k-symmetry", "gamma-finiteness", "determinant", "round-trip"],
+        ids=[
+            "e-nan",
+            "k-nan",
+            "omega-nan",
+            "e-inf",
+            "omega-inf",
+            "k-inf",
+            "gamma-inf",
+            "gamma-finiteness",
+            "determinant",
+            "round-trip",
+        ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_a_nan_fails_each_check(self, build, error, text, monkeypatch):
         # a NaN compares false with every bound, so each check passes only a
-        # deviation that is <= its bound
+        # deviation that is <= its bound; FrameState names a non-finite e,
+        # omega, k or gamma before its identity and symmetry checks read
+        # it, with no numpy warning on the way
         st = kasner_state(SpatialGrid(DELTA, 8), 0.5)
         with pytest.raises(error, match=text):
             build(st, monkeypatch)
@@ -571,6 +619,22 @@ class TestSpacetimeRicci:
         grid = SpatialGrid(DELTA, 8)
         states = [kasner_state(grid, t) for t in np.exp(np.linspace(np.log(0.2), np.log(0.6), m))]
         with pytest.raises(ConfigError, match=f"^need at least 5 consecutive slices, got {m}$"):
+            spacetime_ricci(states)
+
+    @pytest.mark.parametrize(
+        "other",
+        [SpatialGrid(np.pi, 8), SpatialGrid(DELTA, 8, "localized"), SpatialGrid(DELTA, 9)],
+        ids=["delta", "mode", "shape"],
+    )
+    def test_rejects_slices_on_another_grid(self, other):
+        # slice 2 is differentiated on its own grid or not at all: the same
+        # shape with another spacing or mode would be read with slice 0's
+        grid = SpatialGrid(DELTA, 8)
+        t_nodes = np.exp(np.linspace(np.log(0.2), np.log(0.6), 5))
+        states = [kasner_state(grid, t) for t in t_nodes]
+        states[2] = kasner_state(other, t_nodes[2])
+        text = re.escape(f"slice 2 is on {other!r}, not on slice 0's {grid!r}")
+        with pytest.raises(ConfigError, match=f"^{text}$"):
             spacetime_ricci(states)
 
     def test_r4_00_is_the_hamiltonian_minus_the_spatial_trace(self):

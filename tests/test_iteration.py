@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kasnerlab.asymdata import AsymptoticDataSet
+from kasnerlab.asymdata import AsymptoticDataSet, frame_matrix_from_metric
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import FrameState, torsion_residual
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
@@ -164,7 +164,7 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
     p = homogeneous_dataset(grid).p
     c = np.array([1.0, 1.0, 1.0, 0.2, -0.1, 0.15])  # c11, c22, c33, c12, c23, c13
     data = AsymptoticDataSet(p, c[:, None, None, None] * np.ones(grid.shape))
-    f = unpack_slots(data.f, symmetric=False)
+    f = unpack_slots(frame_matrix_from_metric(data.c), symmetric=False)
     times = LogTimeGrid(1e-4, 1e-1, m)
     t = times.times
     zeroth = zeroth_iterate(data, times)
