@@ -10,9 +10,10 @@ grids.
 * u-wave: exponents varying along x^1 through a single sine mode of the
   parameter u, a single-mode c22(x^3), and the closed-form c33(u) that makes
   the third transport right side vanish.  Satisfies the differential
-  constraint up to derivative/quadrature error and is exactly periodic (all
-  transport loop integrals vanish), so it is the clean family for decay-rate
-  and seam tests.
+  constraint up to derivative/quadrature error and is periodic analytically
+  (every transport loop integral vanishes); on the grid the x^3 loop
+  integral of kappa_1^3 is O(h^4), the SeamReport's kappa13_jump.  It is the
+  clean family for decay-rate and seam tests.
 * layered: constant exponents, data varying along x^1 only, and a seam
   mismatch of exactly 0.0.
 * random: seeded band-limited trigonometric fields for u and all six c
@@ -58,7 +59,9 @@ def u_wave_dataset(grid):
     u = U0 + 0.1 sin(2 pi x^1/delta), c22 = exp(0.3 sin(2 pi x^3/delta)),
     c33 = u_wave_c33(u), kappa_1^2 = 0, homogeneous slices.  With these
     choices every transport right side is x^2-independent and the loop
-    integrals along x^3 vanish, so the assembled data are exactly periodic.
+    integrals along x^3 vanish, so the data are periodic analytically.  On
+    the grid they are periodic only to the discrete loop integral of the
+    kappa_1^3 transport, O(h^4): SeamReport.kappa13_jump, 6.4e-8 at n = 32.
     """
     u = u_wave_profile(grid)
     p = exponents_from_u(grid, u)

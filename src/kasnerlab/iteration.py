@@ -21,8 +21,19 @@ return the symmetrized field.
 
 A level stores the frame e and k as series and nothing else: the coframe
 (the frame's pointwise inverse) and gamma are formed per node on use.
+
+A right side at a time node reads the previous level at that node only, so
+the per-node loops of an update (the sources, and the finish after the
+quadrature) run on one thread per usable core, numpy releasing the GIL in
+its array loops; each node's arithmetic is unchanged, so every level is the
+same bit for bit on any number of cores.  Each extra thread holds one
+node's working set, at most a Ricci evaluation's: 22 MB at n = 32
+(measured), 9.4 node slabs.  The time quadratures and integrating factors
+run on the calling thread.
 """
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -143,6 +154,42 @@ def _integrating_factor(n, field, w, times):
     return big_w
 
 
+def _each_node(fn, m):
+    """fn(r) for every node r = 0..m-1, on one thread per usable core.
+
+    Node r goes to share r mod T of T = min(cores, m) threads, and the
+    calling thread runs share 0; with one core this is the plain loop.  fn
+    must write only what belongs to node r.  Each share stops at its first
+    exception.  Every thread is joined before this returns or raises, and
+    the exception of the lowest failing node is re-raised: as the plain
+    loop, which stops at that node, would raise it.
+    """
+    n_threads = min(len(os.sched_getaffinity(0)), m)
+    failures = [None] * n_threads  # (r, exception) of each share's first failure
+
+    def share(j):
+        for r in range(j, m, n_threads):
+            try:
+                fn(r)
+            except Exception as err:  # re-raised on the calling thread
+                failures[j] = (r, err)
+                return
+
+    workers = []  # the started ones
+    try:
+        for j in range(1, n_threads):
+            worker = threading.Thread(target=share, args=(j,))
+            worker.start()
+            workers.append(worker)
+        share(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    raised = [failure for failure in failures if failure is not None]
+    if raised:
+        raise min(raised, key=lambda failure: failure[0])[1]
+
+
 def advance_k(n, previous, zeroth):
     """Level-n second fundamental form from level n-1 and level 0.
 
@@ -150,7 +197,8 @@ def advance_k(n, previous, zeroth):
     per-node sup norm of the part the symmetrization discarded.
 
     Memory: one series-sized buffer, the integrand, which the quadrature
-    overwrites and which then becomes k_series in place, plus one-node slabs.
+    overwrites and which then becomes k_series in place, plus one node's
+    working set per thread: a Ricci evaluation, 22 MB at n = 32 (measured).
     """
     if n < 1:
         raise ConfigError(f"advance_k needs n >= 1, got {n}")
@@ -162,20 +210,26 @@ def advance_k(n, previous, zeroth):
     w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
     big_w = _integrating_factor(n, "k", w, times)
     integrand = np.empty((m, 3, 3) + grid.shape)
-    for r, t in enumerate(times.times):
+
+    def source(r):
+        t = times.times[r]
         ric = previous.ricci_at(r)
         integrand[r] = np.exp(-big_w[r]) * (t * ric + w[r] * t * k0[r])
-    k_n = _cumint(n, "k update", integrand, times, out=integrand)
 
+    _each_node(source, m)
+    k_n = _cumint(n, "k update", integrand, times, out=integrand)
     asym_norms = np.empty(m)
-    for r, t in enumerate(times.times):
+
+    def finish(r):
         k_r = k_n[r]
         k_r *= np.exp(big_w[r])
-        k_r /= t
+        k_r /= times.times[r]
         np.add(k0[r], k_r, out=k_r)
         asym = 0.5 * (k_r - np.swapaxes(k_r, 0, 1))
         asym_norms[r] = np.abs(asym).max()
         k_r -= asym
+
+    _each_node(finish, m)
     return k_n, asym_norms
 
 
@@ -187,7 +241,8 @@ def advance_e(n, k_n, previous, zeroth):
     scheme's update order requires.  Returns e_series; each node's frame
     is checked to be invertible, the coframe itself is not formed.
 
-    Memory: as in advance_k, with e_series in place of k_series.
+    Memory: as in advance_k, with e_series in place of k_series; a node's
+    working set here is a few node slabs, under a Ricci evaluation's.
     """
     if n < 1:
         raise ConfigError(f"advance_e needs n >= 1, got {n}")
@@ -201,16 +256,20 @@ def advance_e(n, k_n, previous, zeroth):
     big_w = _integrating_factor(n, "frame", w_diag, times)
 
     integrand = np.empty((m, 3, 3) + grid.shape)
-    for r, t in enumerate(times.times):
-        t_up = np.exp(pv * np.log(t))  # t^{p_I}
+
+    def source(r):
+        t_up = np.exp(pv * np.log(times.times[r]))  # t^{p_I}
         k_off = previous.k[r].copy()
         for i in range(3):
             k_off[i, i] = 0.0
-        source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
-        integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
+        rhs = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
+        integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * rhs
+
+    _each_node(source, m)
     e_n = _cumint(n, "frame update", integrand, times, out=integrand)
 
-    for r, t in enumerate(times.times):
+    def finish(r):
+        t = times.times[r]
         t_down = np.exp(-pv * np.log(t))
         e_n[r] *= t_down[:, None] * np.exp(big_w[r])[:, None]
         np.add(e0[r], e_n[r], out=e_n[r])
@@ -218,6 +277,8 @@ def advance_e(n, k_n, previous, zeroth):
             frame_determinant(e_n[r])
         except SingularFrameError as err:
             raise SingularFrameError(f"tower level {n} at t={t:.6e}: {err}") from err
+
+    _each_node(finish, m)
     return e_n
 
 

@@ -1,5 +1,5 @@
 """The pair runner's statistics: wins, quartile spread, the claim rule and
-the no-regression verdict."""
+the no-regression verdict; and what a pair entry keeps of a run."""
 
 import importlib.util
 import os
@@ -56,3 +56,22 @@ def test_claim_needs_nine_in_ten_wins_beyond_the_parent_spread(change, met):
 def test_verdict_against_the_bound(parent, change, better, want):
     summary = bench_pairs.summarize(pairs(parent, change), "peak_rss_mb", better)
     assert bench_pairs.verdict(summary, 0.25, better) == want
+
+
+def test_side_keeps_the_runs_import_samples():
+    result = {
+        "metrics": {"wall_s": {"value": 3.1, "unit": "s"}, "setup_s": {"value": 0.12, "unit": "s"}},
+        "attempted": 4,
+        "failed": 0,
+        "correct": True,
+    }
+    record = {"workload": "tower_uwave32", "import_s": [0.11, 0.1, 0.12, 0.1, 0.13], "reps": []}
+    side = bench_pairs.side_entry(result, record)
+    assert side == {
+        "wall_s": 3.1,
+        "setup_s": 0.12,
+        "attempted": 4,
+        "failed": 0,
+        "correct": True,
+        "import_s": [0.11, 0.1, 0.12, 0.1, 0.13],
+    }

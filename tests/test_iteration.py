@@ -1,8 +1,10 @@
 """Tests for the approximate-solution tower: the closed-form level 0, the
-homogeneous fixed point, bit identity with the whole-series formulas, the
-tower's working memory, and the decay-rate fit."""
+homogeneous fixed point, bit identity with the whole-series formulas and
+across thread counts, the tower's working memory, and the decay-rate fit."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,15 @@ from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import FrameState, torsion_residual
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
 from kasnerlab.grids import LOCALIZED, LogTimeGrid, SpatialGrid
-from kasnerlab.iteration import IterateSet, advance_e, advance_k, build_tower, fit_decay_rate, zeroth_iterate
+from kasnerlab.iteration import (
+    IterateSet,
+    _each_node,
+    advance_e,
+    advance_k,
+    build_tower,
+    fit_decay_rate,
+    zeroth_iterate,
+)
 
 from oracles import (
     gamma_reference,
@@ -210,18 +220,100 @@ class TestLevelUpdatesMatchTheOde:
             assert math.log2(coarse / fine) >= 1.9
 
 
+def _usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _singular_at(nodes):
+    """Homogeneous level 0, and a copy of it whose frame is singular at grid
+    point (2, 5, 1) of each of the given time nodes; with k at level 0 every
+    frame source vanishes, so e_n = e0 there."""
+    data, times = homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid()
+    zeroth = zeroth_iterate(data, times)
+    e = zeroth.e.copy()
+    for r in nodes:
+        e[r, :, :, 2, 5, 1] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]]
+    return zeroth, IterateSet(0, data, times, e, zeroth.k)
+
+
 class TestSingularFrameAbort:
     def test_frame_update_names_the_level_and_the_node(self):
-        # a zeroth iterate whose frame is singular at one grid point: with
-        # k at level 0 every frame source vanishes, so e_n = e0 there
-        data, times = homogeneous_dataset(SpatialGrid(DELTA, 8)), time_grid()
-        zeroth = zeroth_iterate(data, times)
-        e = zeroth.e.copy()
-        e[:, :, :, 2, 5, 1] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]]
-        singular = IterateSet(0, data, times, e, zeroth.k)
+        zeroth, singular = _singular_at(range(time_grid().n_steps))
         want = r"^tower level 1 at t=1\.000000e-04: frame determinant .* at grid point \(2, 5, 1\)$"
         with pytest.raises(SingularFrameError, match=want):
             advance_e(1, zeroth.k, singular, singular)
+
+
+class TestNodeThreads:
+    """A level's per-node loops run on one thread per usable core (two forced
+    here, whatever the host has) with the bits and aborts of one thread."""
+
+    @pytest.mark.filterwarnings("ignore:tower level")
+    @pytest.mark.parametrize("family", [u_wave_dataset, layered_dataset])
+    def test_levels_bitwise_on_one_and_two_cores(self, family, monkeypatch):
+        data = family(SpatialGrid(DELTA, 8))
+        ricci_at = IterateSet.ricci_at
+        towers, threads = [], []
+        for cores in (1, 2):
+            _usable_cores(monkeypatch, cores)
+            seen = set()
+
+            def recording_ricci_at(self, index, seen=seen):
+                seen.add(threading.get_ident())
+                return ricci_at(self, index)
+
+            monkeypatch.setattr(IterateSet, "ricci_at", recording_ricci_at)
+            towers.append(build_tower(data, time_grid(), 2))
+            threads.append(len(seen))
+        assert threads == [1, 2]
+        for one, two in zip(*towers):
+            assert one.e.tobytes() == two.e.tobytes()
+            assert one.k.tobytes() == two.k.tobytes()
+            if one.n:
+                assert one.asym_norms.tobytes() == two.asym_norms.tobytes()
+
+    # round robin over two threads puts node 3 and node 31 on the worker and
+    # node 4 and node 30 on the calling thread; halves would split them too
+    @pytest.mark.parametrize("nodes", [(3, 30), (4, 31)])
+    def test_abort_names_the_lowest_singular_node(self, nodes, monkeypatch):
+        zeroth, singular = _singular_at(nodes)
+        texts = []
+        for cores in (1, 2):
+            _usable_cores(monkeypatch, cores)
+            with pytest.raises(SingularFrameError) as got:
+                advance_e(1, zeroth.k, singular, singular)
+            texts.append(str(got.value))
+        t = zeroth.times.times[nodes[0]]
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"tower level 1 at t={t:.6e}: frame determinant")
+
+    def test_no_worker_outlives_an_abort_on_the_calling_thread(self, monkeypatch):
+        zeroth, singular = _singular_at([0])
+        _usable_cores(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(SingularFrameError, match=r"^tower level 1 at t=1\.000000e-04: "):
+            advance_e(1, zeroth.k, singular, singular)
+        assert threading.active_count() == before
+
+    def test_each_node_runs_below_the_lowest_failure_and_raises_it(self, monkeypatch):
+        _usable_cores(monkeypatch, 3)
+        ran = set()
+
+        def fn(r):
+            ran.add(r)
+            if r in (7, 11):
+                raise ValueError(f"node {r}")
+            if r == 9:
+                raise KeyError(r)
+
+        with pytest.raises(ValueError, match="^node 7$"):
+            _each_node(fn, 20)
+        # each share stops at its first failure: 7 on share 1, 9 on share 0
+        assert set(range(9)) <= ran
+        assert 10 not in ran and 12 not in ran
+        ran.clear()
+        _each_node(ran.add, 2)  # fewer nodes than cores
+        assert ran == {0, 1}
 
 
 class TestTowerMatchesAllComponentGeometry:
@@ -253,11 +345,11 @@ class TestTowerMemory:
             stored = {name for name, value in vars(lv).items() if isinstance(value, np.ndarray)}
             assert stored == ({"e", "k", "asym_norms"} if lv.n else {"e", "k"})
 
-    def test_working_memory_beyond_the_returned_series(self):
-        # beyond the stored e and k of every level, the last frame update
-        # holds one integrand, which the quadrature overwrites in place to
-        # become e_n; everything else is one-node slabs or 1/3-size
-        # integrating factors (measured 1.06 series)
+    @staticmethod
+    def _peak(monkeypatch, cores):
+        """Traced peak of a u-wave tower at n = 8 on the given usable cores,
+        and the tower."""
+        _usable_cores(monkeypatch, cores)
         data = u_wave_dataset(SpatialGrid(DELTA, 8))
         tracemalloc.start()
         try:
@@ -265,8 +357,30 @@ class TestTowerMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, levels
+
+    def test_working_memory_beyond_the_returned_series(self, monkeypatch):
+        # beyond the stored e and k of every level, the last frame update
+        # holds one integrand, which the quadrature overwrites in place to
+        # become e_n; everything else is one-node slabs per thread or 1/3-size
+        # integrating factors (measured 1.00 series on one and two cores)
+        peak, levels = self._peak(monkeypatch, 2)
         series = levels[0].e.nbytes
         assert peak <= (2 * len(levels) + 1.25) * series
+
+    def test_each_extra_thread_holds_one_node(self, monkeypatch):
+        # a node's Ricci evaluation is the largest per-node working set (10.2
+        # node slabs at n = 8, 9.4 at n = 32); three more threads raised the
+        # tower's peak by 8.1 slabs (measured)
+        one, levels = self._peak(monkeypatch, 1)
+        four, _ = self._peak(monkeypatch, 4)
+        tracemalloc.start()
+        try:
+            levels[0].ricci_at(20)
+            node = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert four - one <= 3 * node
 
 
 class TestHealthMemory:

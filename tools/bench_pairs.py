@@ -15,10 +15,11 @@ the run is interrupted.  Every run is the unchanged
 from that side's root, RUN_SECONDS being BENCHMARK.json's run_seconds,
 strictly one at a time; odd pairs run the parent first, even pairs the
 change.  After each pair, the change's kbench/compare.py diffs the two
-output digests.  The BENCH file holds every pair's metrics,
-per metric the quartiles of each side, the change's wins, losses and ties
-and the parent's quartile spread, and for --claim whether the change won at
-least nine in ten pairs with a median gain beyond that spread.  Every
+output digests.  The BENCH file holds every pair's metrics and each run's
+fresh-interpreter import times, per metric the quartiles of each side, the
+change's wins, losses and ties and the parent's quartile spread, and for
+--claim whether the change won at least nine in ten pairs with a median
+gain beyond that spread.  Every
 metric also gets a no-regression verdict against its bound: "worse",
 "unresolved" or "ok" (see `verdict`).  The metrics, their better direction
 and their bounds come from BENCHMARK.json's end_to_end list.
@@ -66,8 +67,18 @@ def run_side(tree, workload, seconds, record_copy):
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     shutil.copy(os.path.join(tree, "kbench", "results", f"{workload}-seed{SEED}-trace0.json"), record_copy)
+    with open(record_copy) as fh:
+        record = json.load(fh)
+    return side_entry(result, record)
+
+
+def side_entry(result, record):
+    """One side of a pair: the run's end-to-end metric values and counts,
+    and from its record the fresh-interpreter import times that setup_s
+    takes the median of, so a setup_s verdict can be read against them."""
     side = {name: m["value"] for name, m in result["metrics"].items()}
     side.update(attempted=result["attempted"], failed=result["failed"], correct=result["correct"])
+    side["import_s"] = record["import_s"]
     return side
 
 
