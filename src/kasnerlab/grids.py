@@ -175,13 +175,19 @@ def _flat_stencil(values, axis, h):
         return flat[(_W + k) * step :][:span]
 
     df = np.empty_like(values)
-    out = np.subtract(shift(1), shift(-1), out=df.reshape(-1)[_W * step :][:span])
+    _centered(df.reshape(-1)[_W * step :][:span], shift, h)
+    return df
+
+
+def _centered(out, shift, h):
+    """The centered fourth-order stencil into out, shift(k) giving the
+    values k nodes along the axis."""
+    np.subtract(shift(1), shift(-1), out=out)
     # difference grouping keeps the stencil exactly zero on fields that are
     # constant along the axis
     out *= 8.0
     out -= shift(2) - shift(-2)
     out /= 12.0 * h
-    return df
 
 
 def _check_nodes(n):
@@ -192,21 +198,19 @@ def _check_nodes(n):
 def _stencil(values, axis, h, mode):
     """Fourth-order first derivative along the absolute `axis`: the centered
     stencil in the interior, and at the 2 nodes next to each face either the
-    same stencil on the wrapped slab (periodic) or the one-sided rows
+    same stencil on the wrapped neighbours (periodic) or the one-sided rows
     (localized)."""
     _check_nodes(values.shape[axis])
     values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
     n = values.shape[axis]
     df = _flat_stencil(values, axis, h)
     faces = np.moveaxis(df, axis, 0)
-    if mode == PERIODIC:
-        # the wrapped slab of nodes n-2w..n-1, 0..2w-1
-        seam = _flat_stencil(np.take(values, np.arange(-2 * _W, 2 * _W), axis=axis), axis, h)
-        seam = np.moveaxis(seam, axis, 0)
-        faces[n - _W :] = seam[_W : 2 * _W]
-        faces[:_W] = seam[2 * _W : 3 * _W]
-        return df
     nodes = np.moveaxis(values, axis, 0)
+    if mode == PERIODIC:
+        # each face node from its wrapped neighbours, by the interior's kernel
+        for i in (*range(_W), *range(n - _W, n)):
+            _centered(faces[i], lambda k: nodes[(i + k) % n], h)
+        return df
     for i, row in enumerate(_ONESIDED):
         # leading face node i; trailing face node n-1-i mirrored, sign flipped
         faces[i] = sum(c * nodes[m] for m, c in enumerate(row)) / h
@@ -261,7 +265,8 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     """Power-law closure of int_0^{t_min} g dtau from the first two samples.
 
     m0 and m1 hold tau*g at nodes 0 and 1, comp_scale the max of |tau*g|
-    over all nodes. Fitting m ~ A exp(q s) from nodes 0 and 1 gives
+    over all nodes, so a NaN or inf at any node reaches it and aborts.
+    Fitting m ~ A exp(q s) from nodes 0 and 1 gives
     tail = m_0/q, valid when q > 0 (g integrable). The validity tests are
     per component, against comp_scale: a head at its own rounding floor, a
     sign flip between the first two nodes, or a non-growing head all mean
@@ -272,6 +277,8 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     whose whole series is rounding noise, is cancellation noise, not
     divergence.
     """
+    if not np.all(np.isfinite(comp_scale)):
+        raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
     a0, a1 = np.abs(m0), np.abs(m1)
     negligible = (a0 <= 1e-8 * comp_scale) | (a1 <= 1e-8 * comp_scale)
     signflip = (m0 * m1) < 0
@@ -292,35 +299,28 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     return tail
 
 
-def log_time_cumint(samples, tgrid, out=None):
+def log_time_cumint(samples, tgrid):
     """Cumulative integral F_j = int_0^{t_j} g dtau for g sampled at the nodes.
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
     tail below t_min. Works on any trailing shape; time axis leads.
 
-    Memory: the output plus a few one-node slabs.  m is formed one node at
-    a time, node j before out[j] is written, so `out` may be `samples`: the
-    integral then overwrites the samples and nothing series-sized is added.
+    Memory: the output plus a few one-node slabs, m being formed one node
+    at a time.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
         raise GridError("sample count does not match time grid")
 
-    def node(j):
-        m_j = samples[j] * tgrid.times[j]
-        if not np.all(np.isfinite(m_j)):
-            raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
-        return m_j
-
-    out = np.empty(samples.shape) if out is None else out
+    out = np.empty(samples.shape)
     half = 0.5 * tgrid.h_s
-    m0, m1 = node(0), node(1)
+    m0, m1 = samples[0] * tgrid.times[0], samples[1] * tgrid.times[1]
     scale = np.maximum(np.abs(m0), np.abs(m1))
     out[1] = half * (m1 + m0)
     m_prev = m1
     # slab by slab: np.cumsum along a leading axis runs a slow strided inner loop
     for j in range(2, samples.shape[0]):
-        m_j = node(j)
+        m_j = samples[j] * tgrid.times[j]
         scale = np.maximum(scale, np.abs(m_j))
         out[j] = out[j - 1] + half * (m_j + m_prev)
         m_prev = m_j

@@ -3,17 +3,25 @@
 Level 0 is the closed-form product of the asymptotic data (weighted frame
 f t^-p, its inverse h t^p, k = -diag(p)/t).  Each higher level solves two
 linear transport problems in time by integrating factors, with the integrals
-taken from t = 0 using the power-law tail closure of the log-time quadrature:
+taken from t = 0:
 
   t (k[n] - k[0])      = exp(W) int_0^t exp(-W(tau)) {tau R[n-1]
                                     + w (tau k[0])} dtau,  w = tr k[n-1] - tr k[0]
   t^p_I (e[n] - e[0])  = exp(W_I) int_0^t exp(-W_I(tau)) Omega_I dtau,
                                     W_I from w_I = k[n]_II - k[0]_II (no sum)
 
-with Omega_Ia = t^{p_I} (e[0]_Ia w_I + sum_{C != I} k[n-1]_IC e[n-1]_Ca);
-the off-diagonal zeroth k vanishes, which folds the source's two coupling
-terms into one.  On spatially homogeneous data every right side is exactly
-zero in floating point, so the tower sits at the fixed point bit for bit.
+with W = int_0^t w dtau and Omega_Ia = t^{p_I} (e[0]_Ia w_I + sum_{C != I}
+k[n-1]_IC e[n-1]_Ca); the off-diagonal zeroth k vanishes, which folds the
+source's two coupling terms into one.  Both updates are solved by one
+recurrence: with g the integrand above without exp(-W) and m = t g, the
+trapezoid in s = log t takes one step per node,
+
+  y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
+
+from y_0 = exp(W_0) times the power-law tail closure of the normalized head
+exp(-W) m below t_min.  On spatially homogeneous data every right side is
+exactly zero in floating point, so the tower sits at the fixed point bit
+for bit.
 
 The time update for k preserves symmetry analytically but not in quadrature;
 levels store the discarded asymmetry norm per node as a health series and
@@ -23,13 +31,14 @@ A level stores the frame e and k as series and nothing else: the coframe
 (the frame's pointwise inverse) and gamma are formed per node on use.
 
 A right side at a time node reads the previous level at that node only, so
-the per-node loops of an update (the sources, and the finish after the
-quadrature) run on one thread per usable core, numpy releasing the GIL in
+the per-node loops of an update (the sources m, and the finish after the
+recurrence) run on one thread per usable core, numpy releasing the GIL in
 its array loops; each node's arithmetic is unchanged, so every level is the
 same bit for bit on any number of cores.  Each extra thread holds one
 node's working set, at most a Ricci evaluation's: 22 MB at n = 32
-(measured), 9.4 node slabs.  The time quadratures and integrating factors
-run on the calling thread.
+(measured), 9.4 node slabs.  W's quadrature, the recurrence's two passes
+(the tail's scale, then the steps) and the envelope fit run on the calling
+thread.
 """
 
 import os
@@ -41,7 +50,7 @@ import numpy as np
 from .asymdata import SLOTS, _coframe_entry, frame_matrix_from_metric
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
-from .grids import log_time_cumint
+from .grids import _tail_below_first_node, log_time_cumint
 
 MAX_TOWER_LEVEL = 4
 # fitted-slope slack for the warning-grade envelope report; the paper's
@@ -122,8 +131,7 @@ def zeroth_iterate(data, times):
         if f[s].any():
             e[:, i, a] = f[s] * down[:, i]
     k = np.zeros_like(e)
-    diag = np.arange(3)
-    k[:, diag, diag] = -pv / t
+    k[:, range(3), range(3)] = -pv / t
     return IterateSet(0, data, times, e, k)
 
 
@@ -132,26 +140,66 @@ def zeroth_iterate(data, times):
 CONTRACTION_LIMIT = 200.0
 
 
-def _cumint(n, what, samples, times, out=None):
-    """log_time_cumint with its aborts prefixed by the quantity and level."""
-    try:
-        return log_time_cumint(samples, times, out)
-    except NonIntegrableError as err:
-        raise NonIntegrableError(f"{what} at level {n}: {err}") from err
-
-
 def _integrating_factor(n, field, w, times):
     """W = int_0^t w dtau for the `field` update at level n, checked against
     CONTRACTION_LIMIT."""
-    what = f"{field} integrating factor"
-    big_w = _cumint(n, what, w, times)
+    what = f"{field} integrating factor at level {n}"
+    try:
+        big_w = log_time_cumint(w, times)
+    except NonIntegrableError as err:
+        raise NonIntegrableError(f"{what}: {err}") from err
     worst = float(np.max(np.abs(big_w)))
     if not np.isfinite(worst) or worst > CONTRACTION_LIMIT:
         raise NonIntegrableError(
-            f"{what} at level {n}: exponent reached {worst:.3g}; "
+            f"{what}: exponent reached {worst:.3g}; "
             f"the time window extends beyond the contraction regime, reduce t_max"
         )
     return big_w
+
+
+def _solve(n, field, w, source, finish, times):
+    """The `field` update at level n, y = exp(W) int_0^t exp(-W) g dtau with
+    W = int_0^t w dtau, each node's W broadcasting against its (3, 3) slab.
+
+    source(r, out) writes node r's m = t g into out, and finish(r, y_r)
+    turns node r's y into the level's field in place; _each_node runs each
+    on every node.  Between them the calling thread takes the trapezoid in
+    s = log t one step per node,
+
+      y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
+
+    from y_0 = exp(W_0) times the power-law tail of the normalized head
+    exp(-W) m, judged against each component's max of |exp(-W) m| over the
+    series: one pass reads m for that max, one steps.  Returns the field's
+    series, one buffer throughout (m, then y, then the field); beyond it
+    the solve holds W and three node slabs.
+    """
+    # a unit axis before the grid axes: W[j] is (1,) + grid for k and
+    # (3, 1) + grid, one W per frame row, for the frame
+    big_w = np.expand_dims(_integrating_factor(n, field, w, times), -4)
+    m = np.empty((times.n_steps, 3, 3) + w.shape[-3:])
+    _each_node(lambda r: source(r, m[r]), times.n_steps)
+    work = np.empty(m.shape[1:])
+    scale = np.zeros(m.shape[1:])
+    try:
+        for j in range(times.n_steps):
+            np.multiply(np.exp(-big_w[j]), m[j], out=work)
+            np.maximum(scale, np.abs(work, out=work), out=scale)
+        y = _tail_below_first_node(*(np.exp(-big_w[j]) * m[j] for j in (0, 1)), scale, times.h_s)
+    except NonIntegrableError as err:
+        raise NonIntegrableError(f"{field} update at level {n}: {err}") from err
+    y *= np.exp(big_w[0])
+    half = 0.5 * times.h_s
+    for j in range(times.n_steps - 1):
+        np.multiply(half, m[j], out=work)
+        work += y
+        m[j] = y
+        work *= np.exp(big_w[j + 1] - big_w[j])
+        np.multiply(half, m[j + 1], out=y)
+        y += work
+    m[-1] = y
+    _each_node(lambda r: finish(r, m[r]), times.n_steps)
+    return m
 
 
 def _each_node(fn, m):
@@ -196,41 +244,29 @@ def advance_k(n, previous, zeroth):
     Returns (k_series, asym_norms): the symmetrized update and the
     per-node sup norm of the part the symmetrization discarded.
 
-    Memory: one series-sized buffer, the integrand, which the quadrature
-    overwrites and which then becomes k_series in place, plus one node's
-    working set per thread: a Ricci evaluation, 22 MB at n = 32 (measured).
+    Memory: the solve's one series-sized buffer, which becomes k_series;
+    W, a ninth of a series; a few node slabs on the calling thread; and one
+    node's working set per thread: a Ricci evaluation, 22 MB at n = 32
+    (measured).
     """
     if n < 1:
         raise ConfigError(f"advance_k needs n >= 1, got {n}")
-    data, times = previous.data, previous.times
-    grid = data.grid
-    m = times.n_steps
-    k0 = zeroth.k
-
+    times, k0 = previous.times, zeroth.k
     w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
-    big_w = _integrating_factor(n, "k", w, times)
-    integrand = np.empty((m, 3, 3) + grid.shape)
+    asym_norms = np.empty(times.n_steps)
 
-    def source(r):
+    def source(r, out):
         t = times.times[r]
-        ric = previous.ricci_at(r)
-        integrand[r] = np.exp(-big_w[r]) * (t * ric + w[r] * t * k0[r])
+        np.multiply(t, t * previous.ricci_at(r) + w[r] * t * k0[r], out=out)
 
-    _each_node(source, m)
-    k_n = _cumint(n, "k update", integrand, times, out=integrand)
-    asym_norms = np.empty(m)
-
-    def finish(r):
-        k_r = k_n[r]
-        k_r *= np.exp(big_w[r])
+    def finish(r, k_r):
         k_r /= times.times[r]
         np.add(k0[r], k_r, out=k_r)
         asym = 0.5 * (k_r - np.swapaxes(k_r, 0, 1))
         asym_norms[r] = np.abs(asym).max()
         k_r -= asym
 
-    _each_node(finish, m)
-    return k_n, asym_norms
+    return _solve(n, "k", w, source, finish, times), asym_norms
 
 
 def advance_e(n, k_n, previous, zeroth):
@@ -241,45 +277,35 @@ def advance_e(n, k_n, previous, zeroth):
     scheme's update order requires.  Returns e_series; each node's frame
     is checked to be invertible, the coframe itself is not formed.
 
-    Memory: as in advance_k, with e_series in place of k_series; a node's
-    working set here is a few node slabs, under a Ricci evaluation's.
+    Memory: as in advance_k, with e_series in place of k_series and a W of
+    a third of a series; a node's working set here is a few node slabs,
+    under a Ricci evaluation's.
     """
     if n < 1:
         raise ConfigError(f"advance_e needs n >= 1, got {n}")
-    data, times = previous.data, previous.times
-    grid = data.grid
-    m = times.n_steps
-    pv = data.p.as_array()
-    e0, k0 = zeroth.e, zeroth.k
-
+    times, e0, k0 = previous.times, zeroth.e, zeroth.k
+    pv = previous.data.p.as_array()
     w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
-    big_w = _integrating_factor(n, "frame", w_diag, times)
 
-    integrand = np.empty((m, 3, 3) + grid.shape)
-
-    def source(r):
-        t_up = np.exp(pv * np.log(times.times[r]))  # t^{p_I}
-        k_off = previous.k[r].copy()
-        for i in range(3):
-            k_off[i, i] = 0.0
-        rhs = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
-        integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * rhs
-
-    _each_node(source, m)
-    e_n = _cumint(n, "frame update", integrand, times, out=integrand)
-
-    def finish(r):
+    def source(r, out):
         t = times.times[r]
-        t_down = np.exp(-pv * np.log(t))
-        e_n[r] *= t_down[:, None] * np.exp(big_w[r])[:, None]
-        np.add(e0[r], e_n[r], out=e_n[r])
+        t_up = np.exp(pv * np.log(t))  # t^{p_I}
+        k_off = previous.k[r].copy()
+        k_off[range(3), range(3)] = 0.0
+        rhs = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off, previous.e[r])
+        np.multiply(t_up[:, None], rhs, out=out)
+        out *= t
+
+    def finish(r, e_r):
+        t = times.times[r]
+        e_r *= np.exp(-pv * np.log(t))[:, None]  # t^{-p_I}
+        np.add(e0[r], e_r, out=e_r)
         try:
-            frame_determinant(e_n[r])
+            frame_determinant(e_r)
         except SingularFrameError as err:
             raise SingularFrameError(f"tower level {n} at t={t:.6e}: {err}") from err
 
-    _each_node(finish, m)
-    return e_n
+    return _solve(n, "frame", w_diag, source, finish, times)
 
 
 def fit_decay_rate(t, norms):

@@ -14,6 +14,9 @@ kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
 spatial Ricci).  The connection oracles work on all 27 slots gamma[I, J, B];
 tests compare the library's packed gamma through geometry._unpack_gamma.
+tower_reference restates the tower's log-time recurrence over whole
+series, and tower_whole_window_reference keeps the three whole-window passes
+(exp(-W) g, its quadrature, exp(W)) that the recurrence replaced.
 second_fundamental_from_frame is the whole-series k_tilde that
 spacetime_ricci_reference builds on.  random_dataset_reference is the
 random family generated one field at a time, as the plain loop over modes
@@ -584,8 +587,40 @@ def _integrating_factor_reference(n, field, w, tgrid, noise_floor):
     return big_w
 
 
-def tower_reference(data, times, n_max, noise_floor=0.0):
-    """Tower levels 1..n_max by the seed's whole-series formulas.
+def _update_reference(n, field, big_w, m, tgrid, noise_floor, whole_window):
+    """y = exp(W) int_0^t exp(-W) g dtau from m = t g, W broadcasting
+    against m; the tail below t_min is that of the whole normalized series
+    exp(-W) m, y_0 = exp(W_0) times it.  By the log-time step
+
+      y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
+
+    or, for whole_window, by the three whole-window passes that step
+    replaced: exp(-W) m, its cumulative trapezoid, and the factor exp(W)."""
+    normalized = np.exp(-big_w) * m
+    try:
+        if not np.all(np.isfinite(normalized)):
+            raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
+        tail = tail_reference(normalized, tgrid.h_s, noise_floor)
+    except NonIntegrableError as err:
+        raise NonIntegrableError(f"{field} update at level {n}: {err}") from err
+    half = 0.5 * tgrid.h_s
+    if whole_window:
+        acc = np.empty_like(m)
+        acc[0] = tail
+        np.cumsum(half * (normalized[1:] + normalized[:-1]), axis=0, out=acc[1:])
+        acc[1:] += tail
+        return np.exp(big_w) * acc
+    growth = np.exp(np.diff(big_w, axis=0))
+    y = np.empty_like(m)
+    y[0] = np.exp(big_w[0]) * tail
+    for j in range(len(m) - 1):
+        y[j + 1] = growth[j] * (y[j] + half * m[j]) + half * m[j + 1]
+    return y
+
+
+def _tower_reference(data, times, n_max, noise_floor, whole_window):
+    """Tower levels 1..n_max by whole-series formulas, each level's two
+    linear updates solved by _update_reference.
 
     Returns one (e, omega, k, asym_norms, fitted_slope) tuple per level;
     fitted_slope is None where the fit window has too few positive
@@ -598,38 +633,33 @@ def tower_reference(data, times, n_max, noise_floor=0.0):
     mask = _fit_window(times)
     out = []
     for n in range(1, n_max + 1):
-        # k update
+        # k update: y = t (k[n] - k[0])
         w = np.einsum("rii...->r...", previous.k) - np.einsum("rii...->r...", k0)
         big_w = _integrating_factor_reference(n, "k", w, times, noise_floor)
-        integrand = np.stack(
-            [
-                np.exp(-big_w[r]) * (t * previous.ricci_at(r) + w[r] * t * k0[r])
-                for r, t in enumerate(times.times)
-            ]
-        )
-        acc = _level_cumint_reference(n, "k update", integrand, times, noise_floor)
-        k_n = k0 + np.exp(big_w)[:, None, None] * acc / t_col
+        m = np.stack([t * (t * previous.ricci_at(r) + w[r] * t * k0[r]) for r, t in enumerate(times.times)])
+        y = _update_reference(n, "k", big_w[:, None, None], m, times, noise_floor, whole_window)
+        k_n = k0 + y / t_col
         asym = 0.5 * (k_n - np.swapaxes(k_n, 1, 2))
         asym_norms = np.abs(asym).reshape(times.n_steps, -1).max(axis=1)
         k_n = k_n - asym
 
-        # frame update
+        # frame update: y = t^p_I (e[n] - e[0])
         w_diag = np.einsum("rii...->ri...", k_n) - np.einsum("rii...->ri...", k0)
         big_w = _integrating_factor_reference(n, "frame", w_diag, times, noise_floor)
         k_off = previous.k.copy()
         for i in range(3):
             k_off[:, i, i] = 0.0
-        integrand = np.empty_like(e0)
+        m = np.empty_like(e0)
         for r, t in enumerate(times.times):
             t_up = np.exp(pv * np.log(t))
             source = e0[r] * w_diag[r][:, None] + np.einsum("ic...,ca...->ia...", k_off[r], previous.e[r])
-            integrand[r] = np.exp(-big_w[r])[:, None] * t_up[:, None] * source
-        acc = _level_cumint_reference(n, "frame update", integrand, times, noise_floor)
+            m[r] = t * (t_up[:, None] * source)
+        y = _update_reference(n, "frame", big_w[:, :, None], m, times, noise_floor, whole_window)
         e_n = np.empty_like(e0)
         omega = np.empty_like(e0)
         for r, t in enumerate(times.times):
             t_down = np.exp(-pv * np.log(t))
-            e_n[r] = e0[r] + t_down[:, None] * np.exp(big_w[r])[:, None] * acc[r]
+            e_n[r] = e0[r] + t_down[:, None] * y[r]
             try:
                 omega[r] = coframe_from_frame(e_n[r])
             except SingularFrameError as err:
@@ -644,6 +674,17 @@ def tower_reference(data, times, n_max, noise_floor=0.0):
         out.append((e_n, omega, k_n, asym_norms, slope))
         previous = IterateSet(n, data, times, e_n, k_n, asym_norms)
     return out
+
+
+def tower_reference(data, times, n_max, noise_floor=0.0):
+    """The tower by the log-time recurrence, the scheme build_tower runs."""
+    return _tower_reference(data, times, n_max, noise_floor, whole_window=False)
+
+
+def tower_whole_window_reference(data, times, n_max):
+    """The tower by the whole-window formulas the recurrence replaced: the
+    same trapezoid, rounded differently."""
+    return _tower_reference(data, times, n_max, 0.0, whole_window=True)
 
 
 def frame_momentum_residual_reference(data, big_i):

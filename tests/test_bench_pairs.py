@@ -1,5 +1,6 @@
-"""The pair runner's statistics: wins, quartile spread, the claim rule and
-the no-regression verdict; and what a pair entry keeps of a run."""
+"""The pair runner's statistics: wins, quartile spread, the claim rule,
+the no-regression verdict and setup_s's split into import and the rest; and
+what a pair entry keeps of a run."""
 
 import importlib.util
 import os
@@ -75,3 +76,21 @@ def test_side_keeps_the_runs_import_samples():
         "correct": True,
         "import_s": [0.11, 0.1, 0.12, 0.1, 0.13],
     }
+
+
+def test_setup_split_takes_each_runs_import_median_out_of_setup_s():
+    def side(setup_s, import_s):
+        return {"setup_s": setup_s, "import_s": import_s}
+
+    run = [
+        {"parent": side(0.13, [0.1, 0.12, 0.11]), "change": side(0.15, [0.12, 0.1, 0.13])},
+        {"parent": side(0.12, [0.09, 0.1, 0.1]), "change": side(0.16, [0.14, 0.13, 0.12])},
+        {"parent": side(0.14, [0.12, 0.11, 0.13]), "change": side(0.14, [0.1, 0.11, 0.11])},
+    ]
+    split = bench_pairs.setup_split(run)
+    # run medians: parent 0.11, 0.10, 0.12; change 0.12, 0.13, 0.11
+    assert split["parent"]["import_s"] == pytest.approx(0.11)
+    assert split["change"]["import_s"] == pytest.approx(0.12)
+    # beyond the import: parent 0.02 each; change 0.03, 0.03, 0.03
+    assert split["parent"]["beyond_import_s"] == pytest.approx(0.02)
+    assert split["change"]["beyond_import_s"] == pytest.approx(0.03)

@@ -1,6 +1,8 @@
 """Tests for the approximate-solution tower: the closed-form level 0, the
-homogeneous fixed point, bit identity with the whole-series formulas and
-across thread counts, the tower's working memory, and the decay-rate fit."""
+homogeneous fixed point, bit identity with the whole-series formulas of its
+log-time recurrence and across thread counts, agreement to rounding with
+the whole-window passes the recurrence replaced, each update against its
+ODE, the tower's working memory, and the decay-rate fit."""
 
 import math
 import os
@@ -30,6 +32,7 @@ from oracles import (
     ode_reference,
     spatial_ricci_reference,
     tower_reference,
+    tower_whole_window_reference,
     unpack_slots,
     zeroth_series_reference,
 )
@@ -79,6 +82,19 @@ class TestTowerMatchesWholeSeriesFormulas:
             assert level.k.tobytes() == k.tobytes()
             assert level.asym_norms.tobytes() == asym_norms.tobytes()
             assert level.envelope["fitted"] == slope
+
+    @pytest.mark.filterwarnings("ignore:tower level")
+    @pytest.mark.parametrize("family", [u_wave_dataset, layered_dataset])
+    def test_recurrence_matches_the_whole_window_passes_to_rounding(self, family):
+        # the log-time step is the trapezoid of exp(-W) m, times exp(W),
+        # regrouped: [measured] at most 1.6e-14 of a level's correction
+        # (u-wave level 2 e; layered 2.8e-16)
+        data = family(SpatialGrid(DELTA, 8))
+        levels = build_tower(data, time_grid(), 2)
+        reference = tower_whole_window_reference(data, time_grid(), 2)
+        for level, (e, omega, k, asym_norms, slope) in zip(levels[1:], reference):
+            for got, want, base in ((level.e, e, levels[0].e), (level.k, k, levels[0].k)):
+                assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want - base))
 
     @pytest.mark.filterwarnings("ignore:tower level")
     @pytest.mark.parametrize(
@@ -159,17 +175,18 @@ class TestIntegratingFactorAbort:
             advance_e(2, planted, zeroth, zeroth)
 
 
-def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
-    """Largest gaps of advance_k and advance_e from DOP853, relative to the
-    largest update, on m nodes of the standard window.
+def _planted_updates(m, delta, beta):
+    """advance_k and advance_e on m nodes of the standard window, from
+    constant data with off-diagonal frame entries and a planted previous
+    level k = k0 + diag(delta) t^(beta - 1).
 
-    Constant data with off-diagonal frame entries and a planted previous
-    level k = k0 + diag(delta) t^(beta - 1): the frame is constant in space,
-    so Ricci is exactly zero and each update is a scalar linear ODE,
+    The frame is constant in space, so Ricci is exactly zero and each
+    update is a scalar linear ODE,
       y = t (k[n] - k0)_II:        y' = w y - p_I w,      w = sum delta t^(beta-1)
       y = t^p_I (e[n] - e0)_Ia:    y' = w_I y + f_Ia w_I, w_I = delta_I t^(beta-1)
-    Each ODE starts from the library's node-0 value, its tail closure, so
-    the gap from node 1 on is the log-time trapezoid's alone."""
+    Returns the nodes t, the exponents p_I, the frame coefficients f_Ia and
+    each update's series at one grid point: k_ys[I] = t (k[n] - k0)_II and
+    e_ys[I, a] = t^p_I (e[n] - e0)_Ia for a >= I."""
     grid = SpatialGrid(DELTA, 8)
     p = homogeneous_dataset(grid).p
     c = np.array([1.0, 1.0, 1.0, 0.2, -0.1, 0.15])  # c11, c22, c33, c12, c23, c13
@@ -185,9 +202,29 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
     k_n, _ = advance_k(2, previous, zeroth)
     e_n = advance_e(2, planted, previous, zeroth)
 
-    def gap(y, w_func, forcing):
+    def at_a_point(y):
         assert np.all(y == y[:, :1, :1, :1])  # spatially constant
-        y = y[:, 0, 0, 0]
+        return y[:, 0, 0, 0]
+
+    p_i = [float(p.as_array()[i, 0, 0, 0]) for i in range(3)]
+    k_ys = [at_a_point(t[:, None, None, None] * (k_n[:, i, i] - zeroth.k[:, i, i])) for i in range(3)]
+    e_ys = {
+        (i, a): at_a_point(t[:, None, None, None] ** p_i[i] * (e_n[:, i, a] - zeroth.e[:, i, a]))
+        for i in range(3)
+        for a in range(i, 3)
+    }
+    return t, p_i, f[:, :, 0, 0, 0], k_ys, e_ys
+
+
+def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
+    """Largest gaps of advance_k and advance_e from DOP853, relative to the
+    largest update, on m nodes of the standard window, for the planted
+    updates of _planted_updates.  Each ODE starts from the library's node-0
+    value, its tail closure, so the gap from node 1 on is the log-time
+    trapezoid's alone."""
+    t, p, f, k_ys, e_ys = _planted_updates(m, delta, beta)
+
+    def gap(y, w_func, forcing):
         want = ode_reference(w_func, forcing, t, y[0], t[0]).y[0]
         return np.max(np.abs(want[1:] - y[1:])) / np.max(np.abs(y))
 
@@ -196,14 +233,10 @@ def _update_errors(m, delta=(0.3, -0.2, 0.5), beta=0.5):
 
     gaps_k, gaps_e = [], []
     for i in range(3):
-        p_i = float(p.as_array()[i, 0, 0, 0])
-        y = t[:, None, None, None] * (k_n[:, i, i] - zeroth.k[:, i, i])
-        gaps_k.append(gap(y, w, lambda s: -p_i * w(s)))
+        gaps_k.append(gap(k_ys[i], w, lambda s: -p[i] * w(s)))
         w_i = lambda s: delta[i] * s ** (beta - 1.0)
         for a in range(i, 3):
-            f_ia = float(f[i, a, 0, 0, 0])
-            y = t[:, None, None, None] ** p_i * (e_n[:, i, a] - zeroth.e[:, i, a])
-            gaps_e.append(gap(y, w_i, lambda s: f_ia * w_i(s)))
+            gaps_e.append(gap(e_ys[i, a], w_i, lambda s: f[i, a] * w_i(s)))
     return max(gaps_k), max(gaps_e)
 
 
@@ -218,6 +251,24 @@ class TestLevelUpdatesMatchTheOde:
             assert gap_e <= 0.03 * h_s**2
         for coarse, fine in zip(gaps[41], gaps[81]):
             assert math.log2(coarse / fine) >= 1.9
+
+    def test_node_zero_matches_the_integral_from_t_zero(self):
+        # from y(0) = 0 the planted ODEs integrate in closed form:
+        # y = -p_I (exp(W) - 1) and y = f_Ia (exp(W_I) - 1), W = int_0^t w.
+        # Node 0 is exp(W_0) times the two-node tail of the normalized head
+        # exp(-W) m, a power law only to O(W); as h_s -> 0 that tail reads
+        # the integral high by W(t_min)/2 of it.  [measured] 0.5425 to 0.553
+        # W(t_min) at 41 nodes (0.60 at 21 nodes, 0.52 at 161); without the
+        # factor exp(W_0) it reads -0.45
+        delta, beta = (0.3, -0.2, 0.5), 0.5
+        t, p, f, k_ys, e_ys = _planted_updates(41, delta, beta)
+        big_w = [d * t[0] ** beta / beta for d in delta]
+        for i in range(3):
+            want = -p[i] * math.expm1(sum(big_w))
+            assert 0.5 <= (k_ys[i][0] - want) / (want * sum(big_w)) <= 0.6
+            for a in range(i, 3):
+                want = f[i, a] * math.expm1(big_w[i])
+                assert 0.5 <= (e_ys[i, a][0] - want) / (want * big_w[i]) <= 0.6
 
 
 def _usable_cores(monkeypatch, cores):

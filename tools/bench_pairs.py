@@ -21,8 +21,10 @@ change's wins, losses and ties and the parent's quartile spread, and for
 --claim whether the change won at least nine in ten pairs with a median
 gain beyond that spread.  Every
 metric also gets a no-regression verdict against its bound: "worse",
-"unresolved" or "ok" (see `verdict`).  The metrics, their better direction
-and their bounds come from BENCHMARK.json's end_to_end list.
+"unresolved" or "ok" (see `verdict`); setup_s's summary also splits each
+side into its import time and its set-up beyond the import (see
+`setup_split`).  The metrics, their better direction and their bounds come
+from BENCHMARK.json's end_to_end list.
 """
 
 import argparse
@@ -108,6 +110,18 @@ def summarize(pairs, metric, better):
         # every run of the change reads better than every run of the parent
         change_runs_all_better=bool(np.max(sign * change) < np.min(sign * parent)),
     )
+
+
+def setup_split(pairs):
+    """Each side's median over the pairs of its run's median import_s, and
+    of its setup_s less that median: the set-up beyond the fresh-interpreter
+    import, which setup_s adds to the import's median."""
+    split = {}
+    for side in ("parent", "change"):
+        imports = [float(np.median(p[side]["import_s"])) for p in pairs]
+        beyond = [p[side]["setup_s"] - i for p, i in zip(pairs, imports)]
+        split[side] = {"import_s": float(np.median(imports)), "beyond_import_s": float(np.median(beyond))}
+    return split
 
 
 def verdict(summary, bound, better):
@@ -199,6 +213,7 @@ def main(argv=None):
             summary = {metric: summarize(pairs, metric, way) for metric, way in better.items()}
             for metric, way in better.items():
                 summary[metric]["verdict"] = verdict(summary[metric], bounds[metric], way)
+            summary["setup_s"]["import_split"] = setup_split(pairs)
             out["workloads"][name] = {"pairs": pairs, "summary": summary}
             print(
                 f"{name}: " + ", ".join(f"{m} {s['verdict']}" for m, s in summary.items()),
