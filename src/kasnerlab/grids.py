@@ -11,7 +11,9 @@ Conventions used throughout the package:
     fourth-order rows at faces.  fd_diff applies it along a trailing spatial
     axis in the grid's mode; fd_time_diff returns d/dt along the leading
     time axis of a series on log-uniform nodes, applying it in s = log t in
-    localized mode.
+    localized mode;
+  - one integrator in log time, _log_time_steps, takes every integral from
+    t = 0: log_time_cumint at W = 0, the tower's updates with their W.
 
 Non-periodic data sampled on a periodic grid (e.g. f = x1) is NOT rejected:
 the wrap-around stencil sees the sawtooth jump and produces large derivatives
@@ -264,8 +266,9 @@ TAIL_NOISE_FLOOR = 1e-10
 def _tail_below_first_node(m0, m1, comp_scale, h_s):
     """Power-law closure of int_0^{t_min} g dtau from the first two samples.
 
-    m0 and m1 hold tau*g at nodes 0 and 1, comp_scale the max of |tau*g|
-    over all nodes, so a NaN or inf at any node reaches it and aborts.
+    m0 and m1 hold tau*g at nodes 0 and 1 (normalized by exp(-W) in
+    _log_time_steps), comp_scale the max of its modulus over all nodes, so
+    a NaN or inf at any node reaches it and aborts.
     Fitting m ~ A exp(q s) from nodes 0 and 1 gives
     tail = m_0/q, valid when q > 0 (g integrable). The validity tests are
     per component, against comp_scale: a head at its own rounding floor, a
@@ -299,31 +302,50 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     return tail
 
 
+def _log_time_steps(m, big_w, tgrid):
+    """y = exp(W) int_0^t exp(-W) g dtau at every node, from m = t g and
+    W = int_0^t w dtau, each node's W broadcasting against its slab; the
+    result is written in place of m, which is returned.
+
+    The trapezoid in s = log t takes one step per node,
+
+      y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
+
+    from y_0 = exp(W_0) times the power-law tail of the normalized head
+    exp(-W) m, judged against each component's max of |exp(-W) m| over the
+    series: one pass reads m for that max, one steps.  Beyond m it holds
+    three node slabs.
+    """
+    work = np.empty(m.shape[1:])
+    scale = np.zeros(m.shape[1:])
+    for j in range(tgrid.n_steps):
+        np.multiply(np.exp(-big_w[j]), m[j], out=work)
+        np.maximum(scale, np.abs(work, out=work), out=scale)
+    y = _tail_below_first_node(*(np.exp(-big_w[j]) * m[j] for j in (0, 1)), scale, tgrid.h_s)
+    y *= np.exp(big_w[0])
+    half = 0.5 * tgrid.h_s
+    for j in range(tgrid.n_steps - 1):
+        np.multiply(half, m[j], out=work)
+        work += y
+        m[j] = y
+        work *= np.exp(big_w[j + 1] - big_w[j])
+        np.multiply(half, m[j + 1], out=y)
+        y += work
+    m[-1] = y
+    return m
+
+
 def log_time_cumint(samples, tgrid):
     """Cumulative integral F_j = int_0^{t_j} g dtau for g sampled at the nodes.
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
-    tail below t_min. Works on any trailing shape; time axis leads.
+    tail below t_min: _log_time_steps with W = 0, for which exp(+-W) = 1
+    exactly.  Works on any trailing shape; time axis leads.
 
-    Memory: the output plus a few one-node slabs, m being formed one node
-    at a time.
+    Memory: the output, which holds m first, plus a few node slabs.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
         raise GridError("sample count does not match time grid")
-
-    out = np.empty(samples.shape)
-    half = 0.5 * tgrid.h_s
-    m0, m1 = samples[0] * tgrid.times[0], samples[1] * tgrid.times[1]
-    scale = np.maximum(np.abs(m0), np.abs(m1))
-    out[1] = half * (m1 + m0)
-    m_prev = m1
-    # slab by slab: np.cumsum along a leading axis runs a slow strided inner loop
-    for j in range(2, samples.shape[0]):
-        m_j = samples[j] * tgrid.times[j]
-        scale = np.maximum(scale, np.abs(m_j))
-        out[j] = out[j - 1] + half * (m_j + m_prev)
-        m_prev = m_j
-    out[0] = _tail_below_first_node(m0, m1, scale, tgrid.h_s)
-    out[1:] += out[0]
-    return out
+    zero_w = np.zeros((tgrid.n_steps,) + (1,) * (samples.ndim - 1))
+    return _log_time_steps(samples * tgrid.times.reshape(zero_w.shape), zero_w, tgrid)

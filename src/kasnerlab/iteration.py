@@ -13,8 +13,10 @@ taken from t = 0:
 with W = int_0^t w dtau and Omega_Ia = t^{p_I} (e[0]_Ia w_I + sum_{C != I}
 k[n-1]_IC e[n-1]_Ca); the off-diagonal zeroth k vanishes, which folds the
 source's two coupling terms into one.  Both updates are solved by one
-recurrence: with g the integrand above without exp(-W) and m = t g, the
-trapezoid in s = log t takes one step per node,
+recurrence, grids' _log_time_steps, which also takes W's own quadrature
+(log_time_cumint, the same steps at zero W): with g the integrand above
+without exp(-W) and m = t g, the trapezoid in s = log t takes one step per
+node,
 
   y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
 
@@ -36,9 +38,9 @@ recurrence) run on one thread per usable core, numpy releasing the GIL in
 its array loops; each node's arithmetic is unchanged, so every level is the
 same bit for bit on any number of cores.  Each extra thread holds one
 node's working set, at most a Ricci evaluation's: 22 MB at n = 32
-(measured), 9.4 node slabs.  W's quadrature, the recurrence's two passes
-(the tail's scale, then the steps) and the envelope fit run on the calling
-thread.
+(measured), 9.4 node slabs.  The integrator's two passes (the tail's scale,
+then the steps), for W and for each update, and the envelope fit run on
+the calling thread.
 """
 
 import os
@@ -50,7 +52,7 @@ import numpy as np
 from .asymdata import SLOTS, _coframe_entry, frame_matrix_from_metric
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
-from .grids import _tail_below_first_node, log_time_cumint
+from .grids import _log_time_steps, log_time_cumint
 
 MAX_TOWER_LEVEL = 4
 # fitted-slope slack for the warning-grade envelope report; the paper's
@@ -163,41 +165,20 @@ def _solve(n, field, w, source, finish, times):
 
     source(r, out) writes node r's m = t g into out, and finish(r, y_r)
     turns node r's y into the level's field in place; _each_node runs each
-    on every node.  Between them the calling thread takes the trapezoid in
-    s = log t one step per node,
-
-      y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
-
-    from y_0 = exp(W_0) times the power-law tail of the normalized head
-    exp(-W) m, judged against each component's max of |exp(-W) m| over the
-    series: one pass reads m for that max, one steps.  Returns the field's
-    series, one buffer throughout (m, then y, then the field); beyond it
-    the solve holds W and three node slabs.
+    on every node.  Between them the calling thread runs grids'
+    _log_time_steps, the trapezoid in s = log t one step per node.  Returns
+    the field's series, one buffer throughout (m, then y, then the field);
+    beyond it the solve holds W and three node slabs.
     """
     # a unit axis before the grid axes: W[j] is (1,) + grid for k and
     # (3, 1) + grid, one W per frame row, for the frame
     big_w = np.expand_dims(_integrating_factor(n, field, w, times), -4)
     m = np.empty((times.n_steps, 3, 3) + w.shape[-3:])
     _each_node(lambda r: source(r, m[r]), times.n_steps)
-    work = np.empty(m.shape[1:])
-    scale = np.zeros(m.shape[1:])
     try:
-        for j in range(times.n_steps):
-            np.multiply(np.exp(-big_w[j]), m[j], out=work)
-            np.maximum(scale, np.abs(work, out=work), out=scale)
-        y = _tail_below_first_node(*(np.exp(-big_w[j]) * m[j] for j in (0, 1)), scale, times.h_s)
+        _log_time_steps(m, big_w, times)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"{field} update at level {n}: {err}") from err
-    y *= np.exp(big_w[0])
-    half = 0.5 * times.h_s
-    for j in range(times.n_steps - 1):
-        np.multiply(half, m[j], out=work)
-        work += y
-        m[j] = y
-        work *= np.exp(big_w[j + 1] - big_w[j])
-        np.multiply(half, m[j + 1], out=y)
-        y += work
-    m[-1] = y
     _each_node(lambda r: finish(r, m[r]), times.n_steps)
     return m
 

@@ -14,6 +14,8 @@ kernels must reproduce: bit for bit where the arithmetic is unchanged, to a
 stated relative tolerance where the summation order changed (gamma and the
 spatial Ricci).  The connection oracles work on all 27 slots gamma[I, J, B];
 tests compare the library's packed gamma through geometry._unpack_gamma.
+cumint_reference restates log_time_cumint's recurrence one node at a time,
+and cumsum_cumint_reference forms the same trapezoid sums by np.cumsum.
 tower_reference restates the tower's log-time recurrence over whole
 series, and tower_whole_window_reference keeps the three whole-window passes
 (exp(-W) g, its quadrature, exp(W)) that the recurrence replaced.
@@ -559,12 +561,32 @@ def tail_reference(m, h_s, noise_floor=0.0):
     return tail
 
 
-def cumsum_cumint_reference(samples, tgrid, noise_floor=0.0):
-    """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
-    the power-law tail below t_min, on the full m = tau*g series."""
+def _tau_times(samples, tgrid):
+    """m = tau*g over the whole series, checked finite."""
     m = samples * tgrid.times.reshape((-1,) + (1,) * (samples.ndim - 1))
     if not np.all(np.isfinite(m)):
         raise NonIntegrableError("non-finite samples passed to the log-time quadrature")
+    return m
+
+
+def cumint_reference(samples, tgrid, noise_floor=0.0):
+    """Log-time cumulative trapezoid as the recurrence
+    out[j+1] = (out[j] + (h/2) m_j) + (h/2) m_{j+1}, one node at a time
+    from the power-law tail below t_min, on the full m = tau*g series."""
+    m = _tau_times(samples, tgrid)
+    half = 0.5 * tgrid.h_s
+    out = np.empty_like(m)
+    out[0] = tail_reference(m, tgrid.h_s, noise_floor)
+    for j in range(len(m) - 1):
+        out[j + 1] = (out[j] + half * m[j]) + half * m[j + 1]
+    return out
+
+
+def cumsum_cumint_reference(samples, tgrid, noise_floor=0.0):
+    """Log-time cumulative trapezoid by np.cumsum along the time axis, plus
+    the power-law tail below t_min, on the full m = tau*g series: the same
+    sums as cumint_reference, rounded in another order."""
+    m = _tau_times(samples, tgrid)
     out = np.empty_like(m)
     out[0] = tail_reference(m, tgrid.h_s, noise_floor)
     np.cumsum(0.5 * tgrid.h_s * (m[1:] + m[:-1]), axis=0, out=out[1:])
@@ -574,7 +596,7 @@ def cumsum_cumint_reference(samples, tgrid, noise_floor=0.0):
 
 def _level_cumint_reference(n, what, samples, tgrid, noise_floor):
     try:
-        return cumsum_cumint_reference(samples, tgrid, noise_floor)
+        return cumint_reference(samples, tgrid, noise_floor)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"{what} at level {n}: {err}") from err
 
