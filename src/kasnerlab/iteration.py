@@ -193,7 +193,11 @@ def _each_node(fn, m):
     the exception of the lowest failing node is re-raised: as the plain
     loop, which stops at that node, would raise it.
     """
-    n_threads = min(len(os.sched_getaffinity(0)), m)
+    # the cores this process may run on where the platform says (Linux),
+    # else all of them: macOS and Windows have no sched_getaffinity
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    n_threads = min(cores, m)
     failures = [None] * n_threads  # (r, exception) of each share's first failure
 
     def share(j):

@@ -1,9 +1,11 @@
 """The pair runner's statistics: wins, quartile spread, the claim rule,
-the no-regression verdict and setup_s's split into import and the rest; and
-what a pair entry keeps of a run."""
+the no-regression verdict and setup_s's split into import and the rest;
+what a pair entry keeps of a run, and what a traced run keeps."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -94,3 +96,28 @@ def test_setup_split_takes_each_runs_import_median_out_of_setup_s():
     # beyond the import: parent 0.02 each; change 0.03, 0.03, 0.03
     assert split["parent"]["beyond_import_s"] == pytest.approx(0.02)
     assert split["change"]["beyond_import_s"] == pytest.approx(0.03)
+
+
+def test_traced_side_runs_with_tracing_and_keeps_the_layer_metrics(monkeypatch):
+    result = {
+        "correct": True,
+        "attempted": 5,
+        "failed": 0,
+        "metrics": {
+            "geometry.spatial_ricci.calls": {"value": 41, "unit": "count"},
+            "grids.fd_diff.mb_moved": {"value": 1305.9, "unit": "MB"},
+        },
+    }
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="layer lines\n" + json.dumps(result) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    side = bench_pairs.traced_side("tree", "health_random24", 30)
+    assert commands[0][1:] == [
+        "kbench/run.py",
+        *("--workload", "health_random24", "--seed", "0", "--seconds", "30", "--trace", "1"),
+    ]
+    assert side == {"geometry.spatial_ricci.calls": 41, "grids.fd_diff.mb_moved": 1305.9, "correct": True}

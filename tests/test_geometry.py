@@ -20,6 +20,7 @@ from kasnerlab.errors import ConfigError, SingularFrameError
 from kasnerlab.families import random_dataset, u_wave_dataset
 from kasnerlab.geometry import (
     FrameState,
+    _scalar_curvature,
     _unpack_gamma,
     coframe_from_frame,
     frame_determinant,
@@ -30,7 +31,7 @@ from kasnerlab.geometry import (
     spatial_ricci,
     torsion_residual,
 )
-from kasnerlab.grids import LogTimeGrid, ScalarField, SpatialGrid
+from kasnerlab.grids import LOCALIZED, LogTimeGrid, ScalarField, SpatialGrid
 from kasnerlab.iteration import zeroth_iterate
 
 from oracles import (
@@ -51,6 +52,10 @@ DELTA = 2.0 * np.pi
 # gamma and the spatial Ricci sum in another order than their all-component
 # reference formulas: allowed gap relative to max|reference| (measured <= 1.5e-15)
 REORDER_TOL = 1e-14
+# the scalar curvature's contracted identity against the trace of a Ricci
+# route, relative to max|tr R| (measured <= 4.1e-15 at n = 8, 12 and 24,
+# both modes, both families, every fourth node, with and without a bump)
+TRACE_TOL = 1e-14
 
 
 def assert_close_to_reference(got, want):
@@ -345,6 +350,31 @@ class TestSpatialRicci:
         assert np.max(np.abs(r_frame)) > 0.01
 
 
+class TestScalarCurvature:
+    """_scalar_curvature against two Ricci routes: the trace of spatial_ricci
+    (9 packed slots differentiated) and of the 27-slot reference."""
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("mode", ["periodic", LOCALIZED])
+    @pytest.mark.parametrize(
+        "family", [lambda grid: random_dataset(grid, seed=0), u_wave_dataset], ids=["random", "u_wave"]
+    )
+    def test_equals_the_trace_of_both_ricci_routes(self, n, mode, family):
+        grid = SpatialGrid(DELTA, n, mode)
+        level = zeroth_iterate(family(grid), LogTimeGrid(1e-4, 1e-1, 41))
+        # TestSpatialRicci's non-Levi-Civita bump in the packed slot gamma[0, 1, 2]
+        bump = np.zeros((3, 3) + grid.shape)
+        bump[0, 2] = 1e-3 * np.sin(grid.mesh(1) + grid.mesh(3))
+        for r in (0, 20, 40):
+            e = level.e[r]
+            gam = gamma_from_frame(e, coframe_from_frame(e), grid)
+            for g in (gam, gam + bump):
+                got = _scalar_curvature(e, g, grid)
+                for ricci in (spatial_ricci(e, g, grid), spatial_ricci_reference(e, _unpack_gamma(g), grid)):
+                    want = np.einsum("ii...->...", ricci)
+                    assert np.max(np.abs(got - want)) <= TRACE_TOL * np.max(np.abs(want))
+
+
 class TestSecondFundamental:
     def test_kasner_matches_minus_p_over_t(self):
         # [measured] rel err 4.9e-5 at 17 log-uniform nodes per decade
@@ -517,7 +547,8 @@ class TestFrameState:
 class TestDerivativeCount:
     def test_one_fd_diff_call_per_axis(self, monkeypatch):
         # gamma differentiates e, Ricci the packed gamma's 9 slots (the trace
-        # term reuses them) and the momentum residual k (tr k reuses it)
+        # term reuses them), the momentum residual k (tr k reuses it) and the
+        # Hamiltonian the 3 components of v, never the whole Ricci
         grid = SpatialGrid(DELTA, 8)
         e = smooth_frame(grid)
         om = coframe_from_frame(e)
@@ -526,16 +557,22 @@ class TestDerivativeCount:
             "gamma_from_frame": lambda: gamma_from_frame(e, om, grid),
             "spatial_ricci": lambda: spatial_ricci(e, st.gamma, grid),
             "momentum_residual_evolved": lambda: momentum_residual_evolved(st),
+            "hamiltonian_residual": lambda: hamiltonian_residual(st),
         }
         fd_diff = geometry.fd_diff
-        calls = []
-        monkeypatch.setattr(geometry, "fd_diff", lambda *args: calls.append(1) or fd_diff(*args))
-        counts = {}
+        leading = []  # the shape ahead of the grid axes of each differentiated field
+        monkeypatch.setattr(geometry, "fd_diff", lambda *args: leading.append(args[0].shape[:-3]) or fd_diff(*args))
+        shapes = {}
         for name, kernel in kernels.items():
-            calls.clear()
+            leading.clear()
             kernel()
-            counts[name] = len(calls)
-        assert counts == dict.fromkeys(kernels, 3)
+            shapes[name] = list(leading)
+        assert shapes == {
+            "gamma_from_frame": [(3, 3)] * 3,
+            "spatial_ricci": [(3, 3)] * 3,
+            "momentum_residual_evolved": [(3, 3)] * 3,
+            "hamiltonian_residual": [(3,)] * 3,
+        }
 
 
 class TestConstraintResiduals:

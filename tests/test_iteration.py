@@ -335,6 +335,17 @@ class TestNodeThreads:
             if one.n:
                 assert one.asym_norms.tobytes() == two.asym_norms.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:tower level")
+    def test_builds_where_the_platform_has_no_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: os.cpu_count() stands in
+        data = u_wave_dataset(SpatialGrid(DELTA, 8))
+        _usable_cores(monkeypatch, 1)
+        one_core = build_tower(data, time_grid(), 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for one, got in zip(one_core, build_tower(data, time_grid(), 2)):
+            assert one.e.tobytes() == got.e.tobytes()
+            assert one.k.tobytes() == got.k.tobytes()
+
     # round robin over two threads puts node 3 and node 31 on the worker and
     # node 4 and node 30 on the calling thread; halves would split them too
     @pytest.mark.parametrize("nodes", [(3, 30), (4, 31)])

@@ -8,23 +8,25 @@ Each side runs from its own directory holding that side's src/ and kbench/:
 `git archive PARENT_REV` for the parent, and for the change `git archive` of
 --change REV or, by default, a copy of this checkout's working tree.  An
 archive, unlike a worktree, leaves nothing registered in the repository if
-the run is interrupted.  Every run is the unchanged
+the run is interrupted.  Every paired run is the unchanged
 
     python3 kbench/run.py --workload NAME --seed 0 --seconds RUN_SECONDS --trace 0
 
 from that side's root, RUN_SECONDS being BENCHMARK.json's run_seconds,
 strictly one at a time; odd pairs run the parent first, even pairs the
 change.  After each pair, the change's kbench/compare.py diffs the two
-output digests.  The BENCH file holds every pair's metrics and each run's
+output digests.  A workload named by --trace then runs once more per side
+with --trace 1, for its per-layer metrics (call counts, MB moved, self
+times).  The BENCH file holds every pair's metrics and each run's
 fresh-interpreter import times, per metric the quartiles of each side, the
-change's wins, losses and ties and the parent's quartile spread, and for
---claim whether the change won at least nine in ten pairs with a median
-gain beyond that spread.  Every
-metric also gets a no-regression verdict against its bound: "worse",
-"unresolved" or "ok" (see `verdict`); setup_s's summary also splits each
-side into its import time and its set-up beyond the import (see
-`setup_split`).  The metrics, their better direction and their bounds come
-from BENCHMARK.json's end_to_end list.
+change's wins, losses and ties and the parent's quartile spread, the traced
+runs' per-layer metrics, and for --claim whether the change won at least
+nine in ten pairs with a median gain beyond that spread.  Every metric also
+gets a no-regression verdict against its bound: "worse", "unresolved" or
+"ok" (see `verdict`); setup_s's summary also splits each side into its
+import time and its set-up beyond the import (see `setup_split`).  The
+metrics, their better direction and their bounds come from BENCHMARK.json's
+end_to_end list.
 """
 
 import argparse
@@ -60,14 +62,28 @@ def export_tree(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run_side(tree, workload, seconds, record_copy):
-    """One kbench run; returns its end-to-end metrics and keeps its record."""
+def kbench_run(tree, workload, seconds, trace):
+    """One kbench run from a tree's root; returns its JSON result line."""
     cmd = [sys.executable, "kbench/run.py", "--workload", workload, "--seed", str(SEED)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def traced_side(tree, workload, seconds):
+    """One --trace 1 run: its per-layer metric values (call counts, bytes
+    moved, self times) and whether it passed its checks."""
+    result = kbench_run(tree, workload, seconds, 1)
+    side = {name: m["value"] for name, m in result["metrics"].items()}
+    side["correct"] = result["correct"]
+    return side
+
+
+def run_side(tree, workload, seconds, record_copy):
+    """One kbench run; returns its end-to-end metrics and keeps its record."""
+    result = kbench_run(tree, workload, seconds, 0)
     shutil.copy(os.path.join(tree, "kbench", "results", f"{workload}-seed{SEED}-trace0.json"), record_copy)
     with open(record_copy) as fh:
         record = json.load(fh)
@@ -166,6 +182,9 @@ def main(argv=None):
     parser.add_argument("--change", help="change revision (default: this checkout's working tree)")
     parser.add_argument("--workload", action="append", required=True, help="NAME[:PAIRS], PAIRS default 10")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
+    parser.add_argument(
+        "--trace", action="append", default=[], help="WORKLOAD to run once per side with --trace 1 after its pairs"
+    )
     parser.add_argument("--title", default="", help="what the change does")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     args = parser.parse_args(argv)
@@ -179,6 +198,9 @@ def main(argv=None):
     for spec in args.workload:
         name, _, pairs = spec.partition(":")
         plan.append((name, int(pairs or 10)))
+    unpaired = set(args.trace) - {name for name, _ in plan}
+    if unpaired:
+        parser.error(f"--trace names workloads without pairs: {sorted(unpaired)}")
 
     out = {
         "change": args.title,
@@ -192,6 +214,8 @@ def main(argv=None):
             f"--seconds {seconds:g} --trace 0 (from each tree's root)",
             "order": "odd pairs parent first, even pairs change first; runs strictly sequential",
             "compare": "python3 kbench/compare.py <parent record> <change record> (per pair)",
+            "traced": "the same run with --trace 1, once per side after the pairs, for "
+            + (", ".join(args.trace) or "no workload"),
             "tool": "tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         },
         "workloads": {},
@@ -215,6 +239,9 @@ def main(argv=None):
                 summary[metric]["verdict"] = verdict(summary[metric], bounds[metric], way)
             summary["setup_s"]["import_split"] = setup_split(pairs)
             out["workloads"][name] = {"pairs": pairs, "summary": summary}
+            if name in args.trace:
+                traced = {side: traced_side(trees[side], name, seconds) for side in ("parent", "change")}
+                out["workloads"][name]["traced"] = traced
             print(
                 f"{name}: " + ", ".join(f"{m} {s['verdict']}" for m, s in summary.items()),
                 file=sys.stderr,
