@@ -5,9 +5,10 @@ position-dependent exponents p_i and leading metric coefficients c_ij.  A
 data set stores p and c only.  The upper-triangular frame matrix f_Ia, the
 coframe h = f^{-1} and the kappa fields that encode the off-diagonal
 momentum content are closed forms of (p, c), formed where they are read
-(frame_matrix_from_metric, _FrameSlots, _coframe_entry, _kappa_entry) and
-never stored.  The differential constraint is enforced by integrating
-transport equations along x^3 lines; the free inputs are three 3-variable
+(frame_matrix_from_metric, _FrameSlots, _coframe_entry, _kappa_entry,
+triangular_matrix) and never stored.  The differential constraint is
+enforced by integrating transport equations along x^3 lines; the free
+inputs are three 3-variable
 functions (c22, c33, kappa_1^2) and three 2-variable slices at x^3 = 0
 (c11, kappa_2^3, kappa_1^3), matching the degrees-of-freedom count of the
 underlying existence argument.
@@ -18,13 +19,14 @@ The symmetric c is stored packed, each independent entry once: an ndarray
 of shape (6,) + grid.shape whose slot s holds entry SLOTS[s] = (i, j),
 i <= j, 0-based, in the order 00, 11, 22, 01, 12, 02 (so slot i < 3 is the
 diagonal entry ii); slot s of the upper-triangular f and h, wherever they
-are formed, is entry SLOTS[s] too.  No other layout exists: the mirrored
-entries of c and the zero lower entries of f and h are never formed.
+are formed, is entry SLOTS[s] too.  The mirrored entries of c are never
+formed, and the zero lower entries of f and h only by triangular_matrix,
+for a reader that needs the whole (3, 3) matrix (level 0 of the tower).
 Public operations that take a direction use 1-based labels i, I in {1,2,3}
 to match the coordinate names x^1, x^2, x^3.  Every 3-variable input (u,
 the p_i, c22, c33, kappa_1^2) is a scalar, constant over the grid, or an
 array of grid.shape; every slice is a scalar or an (n, n) array.  A
-ScalarField is only what the residuals return.
+rank-0 TensorField is only what the residuals return.
 
 Residual conventions, with V = c11*c22*c33 and D_a the grid derivative:
 
@@ -41,8 +43,8 @@ itself; the test suite verifies this identity symbolically.
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateExponentsError, GridError
-from .grids import PERIODIC, ScalarField, fd_diff
+from .errors import ConfigError, DegenerateExponentsError
+from .grids import PERIODIC, TensorField, fd_diff
 
 ALGEBRAIC_TOL = 1e-12
 DEGENERACY_FLOOR = 1e-8
@@ -57,7 +59,7 @@ def _values_on(grid, x, name):
     if arr.ndim == 0:
         return np.full(grid.shape, float(arr))
     if arr.shape != grid.shape:
-        raise GridError(f"{name} has shape {arr.shape}, expected {grid.shape}")
+        raise ConfigError(f"{name} has shape {arr.shape}, expected {grid.shape}")
     return arr
 
 
@@ -67,7 +69,7 @@ def _slice_on(grid, x, name):
     arr = np.asarray(x, dtype=float)
     n = grid.n_pts
     if arr.shape not in ((), (n, n)):
-        raise GridError(f"{name} must be scalar or shape ({n}, {n}), got {arr.shape}")
+        raise ConfigError(f"{name} must be scalar or shape ({n}, {n}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite")
     return np.broadcast_to(arr, (n, n))[:, :, None].copy()
@@ -78,7 +80,9 @@ class KasnerExponents:
 
     Stores the margin eps = min over the grid of min(1 - p3, p3 - p2); every
     decay estimate downstream is phrased in terms of eps, and the data set is
-    rejected when either gap closes to within DEGENERACY_FLOOR.
+    rejected when either gap closes to within DEGENERACY_FLOOR.  This is the
+    one gap check: the transport solves divide by p3 - p1, which exceeds
+    p3 - p2 since p1 < p2.
     """
 
     def __init__(self, grid, p1, p2, p3):
@@ -244,6 +248,19 @@ def _coframe_entry(f, s):
     return (f[3] * f[4] / f[1] - f[5]) / (f[0] * f[2])
 
 
+def triangular_matrix(f, inverse=False):
+    """The (3, 3) + grid matrix of the packed upper-triangular f, or with
+    inverse=True of h = f^{-1}, each slot of h formed by _coframe_entry as
+    it is placed, so one slot of h is live at a time.  The lower entries,
+    and slots that vanish identically (some formed as -0.0), are +0.0."""
+    out = np.zeros((3, 3) + f.shape[1:])
+    for s, (i, j) in enumerate(SLOTS):
+        slot = _coframe_entry(f, s) if inverse else f[s]
+        if slot.any():
+            out[i, j] = slot
+    return out
+
+
 def _kappa_entry(p, c, i, l):
     """The off-diagonal kappa_i^l, i < l (0-based), from the exponent fields
     p = (p1, p2, p3) and the packed c."""
@@ -306,7 +323,7 @@ class AsymptoticDataSet:
         grid = p.grid
         c = np.asarray(c, dtype=float)
         if c.shape != (6,) + grid.shape:
-            raise GridError(f"c must have the packed shape (6,) + grid.shape, got {c.shape}")
+            raise ConfigError(f"c must have the packed shape (6,) + grid.shape, got {c.shape}")
         self.grid = grid
         self.p = p
         self.c = c
@@ -374,11 +391,6 @@ def _cumint_x3(integrand, grid):
     return np.cumsum(out, axis=-1, out=out)
 
 
-def _check_gaps(p):
-    if np.min(p.p3 - p.p2) < DEGENERACY_FLOOR or np.min(p.p3 - p.p1) < DEGENERACY_FLOOR:
-        raise DegenerateExponentsError("exponent gaps too small for the transport solves")
-
-
 def _positive_diagonal(grid, **fields):
     """The named diagonal metric entries as grid arrays, each checked finite
     and positive."""
@@ -415,7 +427,6 @@ def solve_c11(p, c22, c11_slice=1.0):
     the x^3 seam (None on a localized grid).
     """
     grid = p.grid
-    _check_gaps(p)
     (c22,) = _positive_diagonal(grid, c22=c22)
     c11_0 = _slice_on(grid, c11_slice, "c11_slice")
     if not np.all(c11_0 > 0.0):
@@ -435,7 +446,6 @@ def _kappa_transport(p, c11, c22, c33, kappa_slice, slice_name, rhs):
     Returns kappa and its seam jump, normalized by mu at the slice.
     """
     grid = p.grid
-    _check_gaps(p)
     logs = [np.log(c) for c in _positive_diagonal(grid, c11=c11, c22=c22, c33=c33)]
     kap0 = _slice_on(grid, kappa_slice, slice_name)
     log_v = logs[0] + logs[1] + logs[2]
@@ -549,7 +559,7 @@ def momentum_residual(data, i):
     """Metric-form differential constraint residual in direction x^i (1-based).
 
     Vanishes (to quadrature/FD error) exactly when the data satisfy the
-    differential constraint; returned as a ScalarField.
+    differential constraint; returned as a rank-0 TensorField.
     """
     if i not in (1, 2, 3):
         raise ConfigError(f"direction must be 1..3, got {i}")
@@ -574,7 +584,7 @@ def momentum_residual(data, i):
             res += 2.0 * fd_diff(kappa, l + 1, grid)
             res += fd_diff(log_v, l + 1, grid) * kappa
             del kappa
-    return ScalarField(grid, res)
+    return TensorField(grid, res)
 
 
 def frame_momentum_residual(data, big_i):
@@ -622,4 +632,4 @@ def frame_momentum_residual(data, big_i):
                 ee(j, f[SLOTS.index((bi, a))]),
                 scaled(_coframe_entry(f, SLOTS.index((a, j))), p[j] - p[bi]),
             )
-    return ScalarField(grid, res)
+    return TensorField(grid, res)

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every numerical abort condition gets its own class, so callers can tell
-failures apart by type rather than by message text.
+Input that a public function cannot accept is a ConfigError, whichever
+check rejects it: a bad grid, a field of the wrong shape, a missing or
+non-finite value.  Every numerical abort condition gets its own class, so
+callers can tell failures apart by type rather than by message text.
 """
 
 
@@ -12,10 +14,6 @@ class KasnerLabError(Exception):
 class ConfigError(KasnerLabError):
     """Input that a public function cannot accept: a bad value, shape, or
     combination of arguments."""
-
-
-class GridError(KasnerLabError):
-    """Invalid grid construction or field/grid mismatch."""
 
 
 class DegenerateExponentsError(KasnerLabError):

@@ -141,8 +141,15 @@ def random_dataset(grid, seed):
     LogTimeGrid(1e-4, 1e-1, 41) it aborts in the level-1 k update: t^2 R[0]
     falls toward t = 0 (integrable, not a log divergence), but its head sits
     near the turning point of |t^2 R[0]|, which the two-node tail fit reads
-    as flat.  With t_min = 1e-5 or 1e-8 the frame integrating factor
-    exceeds its limit, and with 1e-6 the frame update has a flat head.
+    as flat.  Deeper windows abort in the level-1 frame update, by a cause
+    that depends on the node count:
+      - on 41 nodes, with t_min = 1e-5 or 1e-8 the frame integrating factor
+        exceeds its limit (1.04e4, 4.28e3), and with 1e-6 the frame update
+        has a flat head;
+      - at the standard node density, 40 steps per 3 decades (54, 68 and 94
+        nodes for t_min = 1e-5, 1e-6 and 1e-8), the causes swap: 1e-5 and
+        1e-8 have flat frame-update heads, and at 1e-6 the integrating
+        factor reaches 508.
     """
     u, *fields = _trig_fields(grid, np.random.default_rng(seed), (0.25,) + (0.3,) * 3 + (0.2,) * 3)
     c = np.empty((6,) + grid.shape)

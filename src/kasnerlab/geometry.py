@@ -24,7 +24,7 @@ are sampled uniformly in log t, as on a LogTimeGrid.
 import numpy as np
 
 from .errors import ConfigError, SingularFrameError
-from .grids import ScalarField, TensorField, fd_diff, fd_time_diff
+from .grids import TensorField, _check_finite, fd_diff, fd_time_diff
 
 IDENTITY_TOL = 1e-10
 SINGULAR_FLOOR = 1e-14
@@ -216,9 +216,7 @@ class FrameState:
         # before the identity and symmetry checks, whose deviations a
         # non-finite entry would turn into nan or a numpy warning
         for name, arr in fields:
-            if not np.all(np.isfinite(arr)):
-                bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-                raise ConfigError(f"{name} has a non-finite value at index {bad}")
+            _check_finite(arr, name)
         if not np.isfinite(self.t):
             raise ConfigError(f"slice time must be finite, got {self.t}")
         if not self.t > 0:
@@ -236,7 +234,7 @@ class FrameState:
 
 
 def hamiltonian_residual(state):
-    """R - |k|^2 + (tr k)^2 on the slice, as a scalar field.
+    """R - |k|^2 + (tr k)^2 on the slice, as a rank-0 TensorField.
 
     R is the trace of spatial_ricci's formula, taken by _scalar_curvature
     from its contracted identity R = 2 sum_C e_C(v[C]) - gamma[C, I, D]
@@ -247,7 +245,7 @@ def hamiltonian_residual(state):
     tr_r = _scalar_curvature(state.e, state.gamma, state.grid)
     trk = np.einsum("ii...->...", state.k)
     ksq = np.einsum("ij...,ij...->...", state.k, state.k)
-    return ScalarField(state.grid, tr_r - ksq + trk**2)
+    return TensorField(state.grid, tr_r - ksq + trk**2)
 
 
 def _momentum_core(e, g, k, grid):

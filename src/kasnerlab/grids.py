@@ -1,6 +1,6 @@
 """Numerical substrate: periodic spatial grids, log-uniform time grids,
-shape-checked scalar and tensor fields, finite-difference derivatives, and
-product quadrature against power-law singular integrands.
+shape-checked tensor fields (a scalar is rank 0), finite-difference
+derivatives, and product quadrature against power-law singular integrands.
 
 Conventions used throughout the package:
   - spatial fields store their three grid axes LAST, so a frame field has
@@ -13,7 +13,11 @@ Conventions used throughout the package:
     time axis of a series on log-uniform nodes, applying it in s = log t in
     localized mode;
   - one integrator in log time, _log_time_steps, takes every integral from
-    t = 0: log_time_cumint at W = 0, the tower's updates with their W.
+    t = 0: log_time_cumint at W = 0, the tower's updates with their W;
+  - input that a function cannot accept (a bad grid, a field of the wrong
+    shape) raises errors.ConfigError, and one check, _check_finite, reports
+    a non-finite value by its index, for TensorField and geometry's
+    FrameState alike.
 
 Non-periodic data sampled on a periodic grid (e.g. f = x1) is NOT rejected:
 the wrap-around stencil sees the sawtooth jump and produces large derivatives
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, GridError, NonIntegrableError
+from .errors import ConfigError, NonIntegrableError
 
 PERIODIC = "periodic"
 LOCALIZED = "localized"
@@ -40,13 +44,13 @@ class SpatialGrid:
 
     def __init__(self, delta, n_pts, mode=PERIODIC):
         if not (0 < delta < math.inf):
-            raise GridError(f"delta must be positive and finite, got {delta}")
+            raise ConfigError(f"delta must be positive and finite, got {delta}")
         # NaN-safe, and int(inf) is never reached
         if not (8 <= n_pts < math.inf and int(n_pts) == n_pts):
-            raise GridError(f"n_pts must be an integer >= 8 per axis, got {n_pts}")
+            raise ConfigError(f"n_pts must be an integer >= 8 per axis, got {n_pts}")
         n_pts = int(n_pts)
         if mode not in (PERIODIC, LOCALIZED):
-            raise GridError(f"unknown grid mode {mode!r}")
+            raise ConfigError(f"unknown grid mode {mode!r}")
         self.delta = float(delta)
         self.n_pts = n_pts
         self.mode = mode
@@ -60,7 +64,7 @@ class SpatialGrid:
     def mesh(self, axis):
         """Coordinate array of x^axis (axis in 1..3) broadcastable to shape."""
         if axis not in (1, 2, 3):
-            raise GridError(f"axis must be 1..3, got {axis}")
+            raise ConfigError(f"axis must be 1..3, got {axis}")
         shape = [1, 1, 1]
         shape[axis - 1] = self.n_pts
         return self.axis_coords().reshape(shape)
@@ -82,9 +86,9 @@ class LogTimeGrid:
 
     def __init__(self, t_min, t_max, n_steps):
         if not (0 < t_min < t_max < math.inf):
-            raise GridError(f"need 0 < t_min < t_max < inf, got ({t_min}, {t_max})")
+            raise ConfigError(f"need 0 < t_min < t_max < inf, got ({t_min}, {t_max})")
         if not (2 <= n_steps < math.inf and int(n_steps) == n_steps):
-            raise GridError(f"n_steps must be an integer >= 2, got {n_steps}")
+            raise ConfigError(f"n_steps must be an integer >= 2, got {n_steps}")
         n_steps = int(n_steps)
         self.t_min = float(t_min)
         self.t_max = float(t_max)
@@ -100,26 +104,16 @@ class LogTimeGrid:
         return f"LogTimeGrid({self.t_min!r}, {self.t_max!r}, {self.n_steps})"
 
 
-def _check_finite(values, what):
+def _check_finite(values, name):
+    """Raise ConfigError naming the index of the first non-finite value."""
     if not np.all(np.isfinite(values)):
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-        raise GridError(f"{what} has non-finite value at index {bad}")
-
-
-class ScalarField:
-    """Real scalar field sampled on a SpatialGrid."""
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise GridError(f"scalar values shape {values.shape} != grid shape {grid.shape}")
-        _check_finite(values, "ScalarField")
-        self.grid = grid
-        self.values = values
+        raise ConfigError(f"{name} has a non-finite value at index {bad}")
 
 
 class TensorField:
-    """Tensor field with one or two 3-valued indices ahead of the grid axes.
+    """Real tensor field on a SpatialGrid: rank 0 to 2, each index of
+    dimension 3, ahead of the grid axes, so a scalar is the rank-0 case.
 
     A tensor antisymmetric in a pair of frame indices is stored packed: the
     pair becomes one index p over its 3 independent pairs (I, J), I < J, as
@@ -132,12 +126,12 @@ class TensorField:
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         rank = values.ndim - 3
-        if rank not in (1, 2) or values.shape[rank:] != grid.shape:
-            raise GridError(
+        if rank not in (0, 1, 2) or values.shape[rank:] != grid.shape:
+            raise ConfigError(
                 f"tensor values shape {values.shape} incompatible with grid shape {grid.shape}"
             )
         if values.shape[:rank] != (3,) * rank:
-            raise GridError(f"tensor index dimensions must be 3, got {values.shape[:rank]}")
+            raise ConfigError(f"tensor index dimensions must be 3, got {values.shape[:rank]}")
         _check_finite(values, "TensorField")
         self.grid = grid
         self.values = values
@@ -194,7 +188,7 @@ def _centered(out, shift, h):
 
 def _check_nodes(n):
     if n < 2 * _W + 1:
-        raise GridError(f"need at least {2 * _W + 1} nodes along the axis")
+        raise ConfigError(f"need at least {2 * _W + 1} nodes along the axis")
 
 
 def _stencil(values, axis, h, mode):
@@ -346,6 +340,6 @@ def log_time_cumint(samples, tgrid):
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
-        raise GridError("sample count does not match time grid")
+        raise ConfigError("sample count does not match time grid")
     zero_w = np.zeros((tgrid.n_steps,) + (1,) * (samples.ndim - 1))
     return _log_time_steps(samples * tgrid.times.reshape(zero_w.shape), zero_w, tgrid)

@@ -49,7 +49,7 @@ import warnings
 
 import numpy as np
 
-from .asymdata import SLOTS, _coframe_entry, frame_matrix_from_metric
+from .asymdata import frame_matrix_from_metric, triangular_matrix
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
 from .grids import _log_time_steps, log_time_cumint
@@ -87,20 +87,14 @@ class IterateSet:
 
     def coframe_at(self, r):
         """Coframe at node r: the inverse of e[r] above level 0; at level 0
-        h t^p, with f formed from the data set's c for this call and each
-        slot of h formed here from f."""
+        h t^p, with f formed from the data set's c for this call and h from
+        f by triangular_matrix, one slot at a time."""
         if self.n > 0:
             return coframe_from_frame(self.e[r])
         data = self.data
         up = np.exp(data.p.as_array() * np.log(self.times.times[r]))  # t^{p_a}
-        f = frame_matrix_from_metric(data.c)
-        omega = np.zeros((3, 3) + data.grid.shape)
-        for s, (i, a) in enumerate(SLOTS):
-            h = _coframe_entry(f, s)
-            # the lower entries, and slots of h that vanish identically (some
-            # formed as -0.0), stay +0.0
-            if h.any():
-                omega[i, a] = h * up[a]
+        omega = triangular_matrix(frame_matrix_from_metric(data.c), inverse=True)
+        omega *= up  # column a times t^{p_a}
         return omega
 
     @property
@@ -122,16 +116,11 @@ def zeroth_iterate(data, times):
     with f formed from the data set's c."""
     # f before the t^-p series: formed after them, it raised the health
     # workload's set-up peak RSS by 12 MB at n = 24 (heap placement)
-    f = frame_matrix_from_metric(data.c)
+    f = triangular_matrix(frame_matrix_from_metric(data.c))
     pv = data.p.as_array()[None]
     t = times.times.reshape((-1,) + (1,) * (pv.ndim - 1))
     down = np.exp(-pv * np.log(t))  # t^{-p_I}
-    e = np.zeros((times.n_steps, 3, 3) + data.grid.shape)
-    for s, (i, a) in enumerate(SLOTS):
-        # the lower entries, and slots of f that vanish identically (some
-        # formed as -0.0), stay +0.0
-        if f[s].any():
-            e[:, i, a] = f[s] * down[:, i]
+    e = f * down[:, :, None]  # row I of f times t^{-p_I}
     k = np.zeros_like(e)
     k[:, range(3), range(3)] = -pv / t
     return IterateSet(0, data, times, e, k)

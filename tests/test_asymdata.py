@@ -29,7 +29,7 @@ from kasnerlab.asymdata import (
     solve_kappa13,
     solve_kappa23,
 )
-from kasnerlab.errors import ConfigError, DegenerateExponentsError, GridError
+from kasnerlab.errors import ConfigError, DegenerateExponentsError
 from kasnerlab.families import (
     U0,
     homogeneous_dataset,
@@ -39,7 +39,7 @@ from kasnerlab.families import (
     u_wave_dataset,
     u_wave_profile,
 )
-from kasnerlab.grids import ScalarField, SpatialGrid
+from kasnerlab.grids import SpatialGrid, TensorField
 
 from oracles import (
     coframe_matrix_reference,
@@ -128,6 +128,14 @@ class TestKasnerExponents:
         # u = 1e5 drives 1 - p3 = 1/(1 + u + u^2) ~ 1e-10 below the 1e-8 floor
         with pytest.raises(DegenerateExponentsError):
             exponents_from_u(grid, 1e5)
+
+    def test_degeneracy_guard_near_p2_equal_p3(self):
+        grid = small_grid()
+        # u = 1 + 1e-9 gives p3 - p2 = (1 + u)(u - 1)/(1 + u + u^2) ~ 6.7e-10;
+        # this floor is the one check on the gaps the transports divide by
+        text = r"^exponent gap min\(1-p3, p3-p2\) = 6\.667e-10 at grid index \(0, 0, 0\) is below 1e-08"
+        with pytest.raises(DegenerateExponentsError, match=text):
+            exponents_from_u(grid, 1.0 + 1e-9)
 
     def test_unchecked_channel_for_violations(self):
         grid = small_grid()
@@ -406,23 +414,13 @@ class TestKappaTransports:
         expected = rhs * line[None, None, :]
         assert np.max(np.abs(k13 - expected)) < 1e-8
 
-    def test_degenerate_gap_flagged(self):
-        grid = small_grid()
-        # built past the constructor's own gap check, so the solver's guard fires
-        p = unchecked_exponents(
-            grid, np.full(grid.shape, -0.2), np.full(grid.shape, 0.6), np.full(grid.shape, 0.6 + 1e-9)
-        )
-        ones = np.ones(grid.shape)
-        with pytest.raises(DegenerateExponentsError, match="exponent gaps too small"):
-            solve_kappa23(p, ones, ones, ones)
-
 
 class TestMomentumResidual:
     def test_homogeneous_identically_zero(self):
         ds = homogeneous_dataset(small_grid())
         for i in (1, 2, 3):
             res = momentum_residual(ds, i)
-            assert isinstance(res, ScalarField)
+            assert isinstance(res, TensorField) and res.values.shape == ds.grid.shape
             assert np.all(res.values == 0.0)
 
     def test_generated_data_refinement(self):
@@ -686,7 +684,7 @@ def test_every_data_stage_input_rejects_a_bad_value(name, case):
     else:
         bad = None
         text = f"{name} must be finite" if is_slice else f"{name} is required"
-    with pytest.raises((ConfigError, GridError, DegenerateExponentsError), match=f"^{text}"):
+    with pytest.raises((ConfigError, DegenerateExponentsError), match=f"^{text}"):
         if name == "u":
             exponents_from_u(grid, bad)
         elif name in exps:
@@ -769,7 +767,7 @@ class TestDataSetValidation:
         grid = small_grid(8)
         ds = random_dataset(grid, seed=2)
         text = r"^c must have the packed shape \(6,\) \+ grid.shape, got \(3, 3, 8, 8, 8\)$"
-        with pytest.raises(GridError, match=text):
+        with pytest.raises(ConfigError, match=text):
             AsymptoticDataSet(ds.p, unpack_slots(ds.c, symmetric=True))
 
 
@@ -798,6 +796,11 @@ class TestPackedLayout:
         h = _coframe_slots(got)
         assert unpack_slots(h, symmetric=False).tobytes() == coframe_matrix_reference(f).tobytes()
         assert _coframe_slots(slots).tobytes() == h.tobytes()
+        # the whole matrices level 0 reads: the same bits, less the signs of
+        # the entries that vanish identically, which are +0.0
+        for inverse, full in ((False, f), (True, coframe_matrix_reference(f))):
+            want = np.where(full.any(axis=(2, 3, 4), keepdims=True), full, 0.0)
+            assert asymdata.triangular_matrix(got, inverse).tobytes() == want.tobytes()
         for got, want in zip(_kappa_fields(ds), kappa_reference(ds.p, c)):
             assert got.tobytes() == want.tobytes()
 

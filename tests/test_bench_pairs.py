@@ -1,6 +1,7 @@
 """The pair runner's statistics: wins, quartile spread, the claim rule,
 the no-regression verdict and setup_s's split into import and the rest;
-what a pair entry keeps of a run, and what a traced run keeps."""
+what a pair entry keeps of a run, what a traced run keeps, and the host
+line on platforms without sched_getaffinity or sysconf."""
 
 import importlib.util
 import json
@@ -121,3 +122,15 @@ def test_traced_side_runs_with_tracing_and_keeps_the_layer_metrics(monkeypatch):
         *("--workload", "health_random24", "--seed", "0", "--seconds", "30", "--trace", "1"),
     ]
     assert side == {"geometry.spatial_ricci.calls": 41, "grids.fd_diff.mb_moved": 1305.9, "correct": True}
+
+
+@pytest.mark.parametrize("missing", [("sched_getaffinity",), ("sched_getaffinity", "sysconf")])
+@pytest.mark.parametrize("count, cores", [(5, "5 cores, "), (None, "1 cores, ")])
+def test_host_counts_cores_without_sched_getaffinity(monkeypatch, missing, count, cores):
+    # macOS and Windows have no sched_getaffinity, and Windows no sysconf
+    for name in missing:
+        monkeypatch.delattr(os, name, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    line = bench_pairs.host()
+    assert line.startswith(cores)
+    assert ("RAM unknown" in line) == ("sysconf" in missing)

@@ -31,7 +31,7 @@ from kasnerlab.geometry import (
     spatial_ricci,
     torsion_residual,
 )
-from kasnerlab.grids import LOCALIZED, LogTimeGrid, ScalarField, SpatialGrid
+from kasnerlab.grids import LOCALIZED, LogTimeGrid, SpatialGrid
 from kasnerlab.iteration import zeroth_iterate
 
 from oracles import (

@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from kasnerlab.errors import ConfigError, GridError, NonIntegrableError
+from kasnerlab.errors import ConfigError, NonIntegrableError
 from kasnerlab.grids import (
     LogTimeGrid,
-    ScalarField,
     SpatialGrid,
     TensorField,
     _stencil,
@@ -42,23 +41,23 @@ class TestSpatialGrid:
         assert g.shape == (16, 16, 16)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError):
             SpatialGrid(1.0, 4)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError):
             SpatialGrid(1.0, 16, "open")
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
     def test_non_finite_or_non_positive_delta_rejected(self, delta):
         # an infinite delta gave h = inf and coordinates [nan, inf, ...]
-        with pytest.raises(GridError, match="delta must be positive and finite"):
+        with pytest.raises(ConfigError, match="delta must be positive and finite"):
             SpatialGrid(delta, 8)
 
     @pytest.mark.parametrize("n_pts", [8.9, math.inf, math.nan, 7])
     def test_size_that_int_would_change_rejected(self, n_pts):
         # 8.9 silently gave 8 points; int(inf) raised OverflowError
-        with pytest.raises(GridError, match="n_pts must be an integer >= 8"):
+        with pytest.raises(ConfigError, match="n_pts must be an integer >= 8"):
             SpatialGrid(1.0, n_pts)
 
     @pytest.mark.parametrize("n_pts", [16.0, np.int64(16)])
@@ -82,41 +81,46 @@ class TestLogTimeGrid:
         assert np.allclose(ds, ds[0], rtol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError):
             LogTimeGrid(0.0, 1.0, 8)
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError):
             LogTimeGrid(1.0, 0.5, 8)
 
     @pytest.mark.parametrize("t_min, t_max", [(1e-4, math.inf), (1e-4, math.nan), (math.nan, 1.0)])
     def test_non_finite_window_rejected(self, t_min, t_max):
         # (1e-4, inf) gave nodes [1e-4, inf, inf, inf, inf] and h_s = nan
-        with pytest.raises(GridError, match="t_max < inf"):
+        with pytest.raises(ConfigError, match="t_max < inf"):
             LogTimeGrid(t_min, t_max, 5)
 
     @pytest.mark.parametrize("n_steps", [40.5, math.inf, math.nan, 1])
     def test_step_count_that_int_would_change_rejected(self, n_steps):
-        with pytest.raises(GridError, match="n_steps must be an integer >= 2"):
+        with pytest.raises(ConfigError, match="n_steps must be an integer >= 2"):
             LogTimeGrid(1e-4, 1e-1, n_steps)
 
 
-class TestFieldTypes:
-    def test_non_finite_rejected_with_location(self):
-        g = make_grid(8)
-        v = np.zeros(g.shape)
-        v[3, 1, 4] = np.nan
-        with pytest.raises(GridError, match=r"3, 1, 4"):
-            ScalarField(g, v)
+class TestTensorField:
+    # on an 8^3 grid: values shape and the rejection text, None if accepted
+    CASES = {
+        "rank-0": ((8, 8, 8), None),
+        "rank-1": ((3, 8, 8, 8), None),
+        "rank-2": ((3, 3, 8, 8, 8), None),
+        "rank-3": ((3, 3, 3, 8, 8, 8), "incompatible"),
+        "index-of-2": ((3, 2, 8, 8, 8), "index dimensions"),
+        "grid-mismatch": ((3, 8, 8, 4), "incompatible"),
+        "nan": ((3, 3, 8, 8, 8), r"^TensorField has a non-finite value at index \(2, 0, 3, 1, 4\)$"),
+    }
 
-    def test_shape_mismatch_rejected(self):
-        g = make_grid(8)
-        with pytest.raises(GridError):
-            ScalarField(g, np.zeros((8, 8, 4)))
-        with pytest.raises(GridError, match="incompatible"):
-            TensorField(g, np.zeros((3, 8, 8, 4)))
-        with pytest.raises(GridError, match="incompatible"):
-            TensorField(g, np.zeros((3, 3, 3) + g.shape))
-        with pytest.raises(GridError, match="index dimensions"):
-            TensorField(g, np.zeros((3, 2) + g.shape))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_rule_for_ranks_0_to_2(self, case):
+        shape, text = self.CASES[case]
+        v = np.zeros(shape)
+        if case == "nan":
+            v[2, 0, 3, 1, 4] = np.nan
+        if text is None:
+            assert TensorField(make_grid(8), v).values.shape == shape
+        else:
+            with pytest.raises(ConfigError, match=text):
+                TensorField(make_grid(8), v)
 
 
 class TestFdDerivative:
@@ -178,7 +182,7 @@ class TestFdDerivative:
             assert np.array_equal(got, roll_stencil_reference(values, axis, 0.3, mode))
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(GridError, match="^need at least 5 nodes along the axis$"):
+        with pytest.raises(ConfigError, match="^need at least 5 nodes along the axis$"):
             stencil(np.zeros((4, 8, 8)), 1, 0.1)
 
     def test_periodic_sawtooth_documented_behavior(self):
@@ -245,7 +249,7 @@ class TestFdTimeDiff:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
     def test_too_few_nodes_rejected(self, m):
-        with pytest.raises(GridError, match="^need at least 5 nodes along the axis$"):
+        with pytest.raises(ConfigError, match="^need at least 5 nodes along the axis$"):
             fd_time_diff(np.zeros(m), np.exp(0.1 * np.arange(m)))
 
     @pytest.mark.parametrize(

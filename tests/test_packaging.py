@@ -2,8 +2,9 @@
 declares must exist, the library must import no module beyond numpy and its
 own (scipy included), every third-party module the tests import must be a
 declared dependency, every public function of the library must have a
-caller in the library or the benchmark, and every defaulted parameter of the
-library must be set by some call."""
+caller in the library or the benchmark, every defaulted parameter of the
+library must be set by some call, and every error class but the base must
+be raised somewhere in the library."""
 
 import ast
 import importlib
@@ -171,6 +172,49 @@ def test_guard_counts_names_attributes_and_imports():
     caller = ast.parse("from lib import by_import\nBox().by_attribute()\n")
     assert _uncalled([library], [caller]) == ([], 3)
     assert _uncalled([library], []) == (["by_attribute", "by_import"], 3)
+
+
+def _unraised(errors, library):
+    """Classes of the errors tree, less the base KasnerLabError, that no
+    raise in the library trees names as what it raises, sorted."""
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"KasnerLabError"}
+    raised = set()
+    for tree in library:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return sorted(defined - raised)
+
+
+def test_every_error_class_is_raised():
+    # a class that nothing raises is a failure mode callers cannot meet
+    library = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "kasnerlab").glob("*.py"))]
+    errors = ast.parse((ROOT / "src" / "kasnerlab" / "errors.py").read_text())
+    assert len([node for node in errors.body if isinstance(node, ast.ClassDef)]) >= 4
+    assert _unraised(errors, library) == []
+
+
+def test_error_guard_flags_a_class_only_caught_or_named():
+    errors = ast.parse(
+        "class KasnerLabError(Exception):\n    pass\n"
+        "class ByName(KasnerLabError):\n    pass\n"
+        "class ByAttribute(KasnerLabError):\n    pass\n"
+        "class Bare(KasnerLabError):\n    pass\n"
+        "class Unraised(KasnerLabError):\n    pass\n"
+    )
+    library = ast.parse(
+        "def f():\n"
+        "    try:\n"
+        '        raise ByName("text")\n'
+        "    except Unraised as err:\n"
+        "        raise errors.ByAttribute(str(Unraised)) from err\n"
+        "    raise Bare\n"
+    )
+    assert _unraised(errors, [library]) == ["Unraised"]
 
 
 def _defaulted_parameters(tree):

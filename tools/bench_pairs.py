@@ -167,9 +167,17 @@ def claim_met(summary, pairs_run, better):
 
 
 def host():
-    ram_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    # cores as iteration._each_node counts them: the ones this process may
+    # run on where the platform says (Linux), else all of them; macOS and
+    # Windows have no sched_getaffinity, and Windows no sysconf
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if hasattr(os, "sysconf"):
+        ram = f"{os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.0f} GB RAM"
+    else:
+        ram = "RAM unknown"
     return (
-        f"{len(os.sched_getaffinity(0))} cores, {ram_gb:.0f} GB RAM, {platform.system()} "
+        f"{cores} cores, {ram}, {platform.system()} "
         f"{platform.release()}, python {platform.python_version()}, numpy {np.__version__}"
     )
 
