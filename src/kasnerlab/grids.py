@@ -14,6 +14,8 @@ Conventions used throughout the package:
     localized mode;
   - one integrator in log time, _log_time_steps, takes every integral from
     t = 0: log_time_cumint at W = 0, the tower's updates with their W;
+  - one parallel helper, _each_node, runs a loop's parts (time nodes, or
+    the integrator's spatial slabs) on one thread per usable core;
   - input that a function cannot accept (a bad grid, a field of the wrong
     shape) raises errors.ConfigError, and one check, _check_finite, reports
     a non-finite value by its index, for TensorField and geometry's
@@ -26,6 +28,8 @@ generator reports seam mismatch explicitly.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -158,32 +162,33 @@ _ONESIDED = (
 )
 
 
+# the centered kernel runs over blocks of this many entries of the flat
+# span, so its one temporary is a block, not a copy of the field
+_BLOCK = 2**15
+
+
 def _flat_stencil(values, axis, h):
     """Centered fourth-order derivative along `axis` of a C-contiguous array,
     run on its flat view: k nodes along the axis are k*step entries there, so
-    every operation streams over one contiguous span.  The 2 nodes next to
-    each face read into the neighbouring row and are left for the caller."""
+    every operation streams over one contiguous span, block by block.  The
+    stencil is elementwise on the span, so a block edge changes no bit.  The
+    2 nodes next to each face read into the neighbouring row and are left
+    for the caller."""
     step = math.prod(values.shape[axis + 1 :])
-    span = values.size - 2 * _W * step
+    stop = values.size - _W * step
     flat = values.reshape(-1)
-
-    def shift(k):
-        return flat[(_W + k) * step :][:span]
-
     df = np.empty_like(values)
-    _centered(df.reshape(-1)[_W * step :][:span], shift, h)
+    out = df.reshape(-1)
+    for start in range(_W * step, stop, _BLOCK):
+        end = min(start + _BLOCK, stop)
+        block = out[start:end]
+        np.subtract(flat[start + step : end + step], flat[start - step : end - step], out=block)
+        # difference grouping keeps the stencil exactly zero on fields that
+        # are constant along the axis
+        block *= 8.0
+        block -= flat[start + 2 * step : end + 2 * step] - flat[start - 2 * step : end - 2 * step]
+        block /= 12.0 * h
     return df
-
-
-def _centered(out, shift, h):
-    """The centered fourth-order stencil into out, shift(k) giving the
-    values k nodes along the axis."""
-    np.subtract(shift(1), shift(-1), out=out)
-    # difference grouping keeps the stencil exactly zero on fields that are
-    # constant along the axis
-    out *= 8.0
-    out -= shift(2) - shift(-2)
-    out /= 12.0 * h
 
 
 def _check_nodes(n):
@@ -194,19 +199,24 @@ def _check_nodes(n):
 def _stencil(values, axis, h, mode):
     """Fourth-order first derivative along the absolute `axis`: the centered
     stencil in the interior, and at the 2 nodes next to each face either the
-    same stencil on the wrapped neighbours (periodic) or the one-sided rows
-    (localized)."""
+    same stencil on the wrapped neighbours (periodic), run on one contiguous
+    gather of the seam's nodes, or the one-sided rows (localized).  Beyond
+    the output it holds a block and, periodic, the gathered ring of 4 * _W
+    nodes and its derivative."""
     _check_nodes(values.shape[axis])
     values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
     n = values.shape[axis]
     df = _flat_stencil(values, axis, h)
     faces = np.moveaxis(df, axis, 0)
-    nodes = np.moveaxis(values, axis, 0)
     if mode == PERIODIC:
-        # each face node from its wrapped neighbours, by the interior's kernel
-        for i in (*range(_W), *range(n - _W, n)):
-            _centered(faces[i], lambda k: nodes[(i + k) % n], h)
+        # one gather of the 2 * _W nodes on each side of the seam, in wrapped
+        # order (n-4..n-1, 0..3): the interior kernel on that ring gives the
+        # face nodes n-2, n-1, 0, 1 from their wrapped neighbours, the same
+        # operations on the same operands as in the interior
+        ring = np.take(values, np.arange(n - 2 * _W, n + 2 * _W) % n, axis=axis)
+        faces[np.arange(n - _W, n + _W) % n] = np.moveaxis(_flat_stencil(ring, axis, h), axis, 0)[_W : 3 * _W]
         return df
+    nodes = np.moveaxis(values, axis, 0)
     for i, row in enumerate(_ONESIDED):
         # leading face node i; trailing face node n-1-i mirrored, sign flipped
         faces[i] = sum(c * nodes[m] for m, c in enumerate(row)) / h
@@ -296,7 +306,7 @@ def _tail_below_first_node(m0, m1, comp_scale, h_s):
     return tail
 
 
-def _log_time_steps(m, big_w, tgrid):
+def _log_time_steps(m, big_w, scale, tgrid):
     """y = exp(W) int_0^t exp(-W) g dtau at every node, from m = t g and
     W = int_0^t w dtau, each node's W broadcasting against its slab; the
     result is written in place of m, which is returned.
@@ -306,27 +316,44 @@ def _log_time_steps(m, big_w, tgrid):
       y_{j+1} = exp(W_{j+1} - W_j) (y_j + (h/2) m_j) + (h/2) m_{j+1},
 
     from y_0 = exp(W_0) times the power-law tail of the normalized head
-    exp(-W) m, judged against each component's max of |exp(-W) m| over the
-    series: one pass reads m for that max, one steps.  Beyond m it holds
-    three node slabs.
+    exp(-W) m, judged against scale, each component's max of |exp(-W) m|
+    over the series, which the caller forms.  The tail runs whole on the
+    calling thread, so an abort names the first bad component in C order.
+    The steps run on equal slabs along the first grid axis (of three
+    trailing ones), one per usable core: they are elementwise in space, so
+    every element keeps its bits.  Beyond m and W they hold three node
+    slabs in all.
     """
-    work = np.empty(m.shape[1:])
-    scale = np.zeros(m.shape[1:])
-    for j in range(tgrid.n_steps):
-        np.multiply(np.exp(-big_w[j]), m[j], out=work)
-        np.maximum(scale, np.abs(work, out=work), out=scale)
     y = _tail_below_first_node(*(np.exp(-big_w[j]) * m[j] for j in (0, 1)), scale, tgrid.h_s)
     y *= np.exp(big_w[0])
     half = 0.5 * tgrid.h_s
-    for j in range(tgrid.n_steps - 1):
-        np.multiply(half, m[j], out=work)
-        work += y
-        m[j] = y
-        work *= np.exp(big_w[j + 1] - big_w[j])
-        np.multiply(half, m[j + 1], out=y)
-        y += work
-    m[-1] = y
+    work = np.empty(m.shape[1:])
+    np.multiply(half, m[0], out=work)
+    work += y
+    m[0] = y
+    n = m.shape[-3] if m.ndim >= 4 else 1
+    parts = min(_cores(), n)
+
+    def slab(a, i):
+        # a W of length 1 along the axis broadcasts against every slab
+        return a if parts == 1 or a.shape[-3] == 1 else a[..., n * i // parts : n * (i + 1) // parts, :, :]
+
+    _each_node(lambda i: _steps(slab(m, i), slab(big_w, i), slab(work, i), half), parts)
     return m
+
+
+def _steps(m, big_w, work, half):
+    """The steps from node 0, which holds y_0, with work = y_0 + (h/2) m_0:
+    per step exp(W_{j+1} - W_j) scales work, then m_{j+1} becomes y_{j+1}
+    and work y_{j+1} + (h/2) m_{j+1}.  Each sum takes the operands of the
+    recurrence's, so every y_j has its bits."""
+    y = np.empty_like(work)
+    for j in range(len(m) - 1):
+        m_next = m[j + 1, ...]  # a view, also of a 1-d series
+        work *= np.exp(big_w[j + 1] - big_w[j])
+        np.multiply(half, m_next, out=y)
+        np.add(y, work, out=m_next)
+        np.add(m_next, y, out=work)
 
 
 def log_time_cumint(samples, tgrid):
@@ -334,12 +361,64 @@ def log_time_cumint(samples, tgrid):
 
     Trapezoid in s = log tau applied to m = tau*g, plus the fitted power-law
     tail below t_min: _log_time_steps with W = 0, for which exp(+-W) = 1
-    exactly.  Works on any trailing shape; time axis leads.
+    exactly, so the tail's scale is max |m| over the nodes.  Works on any
+    trailing shape; time axis leads.
 
-    Memory: the output, which holds m first, plus a few node slabs.
+    Memory: the output, which holds m first, its modulus while the scale
+    is taken, and a few node slabs.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != tgrid.n_steps:
         raise ConfigError("sample count does not match time grid")
     zero_w = np.zeros((tgrid.n_steps,) + (1,) * (samples.ndim - 1))
-    return _log_time_steps(samples * tgrid.times.reshape(zero_w.shape), zero_w, tgrid)
+    m = samples * tgrid.times.reshape(zero_w.shape)
+    return _log_time_steps(m, zero_w, np.max(np.abs(m), axis=0), tgrid)
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+def _cores():
+    """The cores this process may run on where the platform says (Linux),
+    else all of them: macOS and Windows have no sched_getaffinity."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _each_node(fn, m):
+    """fn(r) for every part r = 0..m-1 (a time node, or a slab), on one
+    thread per usable core, numpy releasing the GIL in its array loops.
+
+    Part r goes to share r mod T of T = min(cores, m) threads, and the
+    calling thread runs share 0; with one core this is the plain loop.  fn
+    must write only what belongs to part r.  Each share stops at its first
+    exception.  Every thread is joined before this returns or raises, and
+    the exception of the lowest failing part is re-raised: as the plain
+    loop, which stops at that part, would raise it.
+    """
+    n_threads = min(_cores(), m)
+    failures = [None] * n_threads  # (r, exception) of each share's first failure
+
+    def share(j):
+        for r in range(j, m, n_threads):
+            try:
+                fn(r)
+            except Exception as err:  # re-raised on the calling thread
+                failures[j] = (r, err)
+                return
+
+    workers = []  # the started ones
+    try:
+        for j in range(1, n_threads):
+            worker = threading.Thread(target=share, args=(j,))
+            worker.start()
+            workers.append(worker)
+        share(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    raised = [failure for failure in failures if failure is not None]
+    if raised:
+        raise min(raised, key=lambda failure: failure[0])[1]

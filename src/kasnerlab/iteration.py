@@ -33,17 +33,18 @@ A level stores the frame e and k as series and nothing else: the coframe
 (the frame's pointwise inverse) and gamma are formed per node on use.
 
 A right side at a time node reads the previous level at that node only, so
-the per-node loops of an update (the sources m, and the finish after the
-recurrence) run on one thread per usable core, numpy releasing the GIL in
-its array loops; each node's arithmetic is unchanged, so every level is the
-same bit for bit on any number of cores.  Each extra thread holds one
+the per-node loops (an update's sources m, each thread folding its nodes
+into the tail's scale, and the finish after the recurrence; the tower's
+k-difference) run on one thread per usable core by grids' _each_node,
+numpy releasing the GIL in its array loops.  The integrator's steps, for W
+and for each update, run there too, on equal slabs along the first grid
+axis; its tail closure and the envelope fit run on the calling thread.
+Each node's and each element's arithmetic is unchanged, so every level is
+the same bit for bit on any number of cores.  Each extra thread holds one
 node's working set, at most a Ricci evaluation's: 22 MB at n = 32
-(measured), 9.4 node slabs.  The integrator's two passes (the tail's scale,
-then the steps), for W and for each update, and the envelope fit run on
-the calling thread.
+(measured), 9.4 node slabs, and its running max, one node slab.
 """
 
-import os
 import threading
 import warnings
 
@@ -52,7 +53,7 @@ import numpy as np
 from .asymdata import frame_matrix_from_metric, triangular_matrix
 from .errors import ConfigError, NonIntegrableError, SingularFrameError
 from .geometry import coframe_from_frame, frame_determinant, gamma_from_frame, spatial_ricci
-from .grids import _log_time_steps, log_time_cumint
+from .grids import _each_node, _log_time_steps, log_time_cumint
 
 MAX_TOWER_LEVEL = 4
 # fitted-slope slack for the warning-grade envelope report; the paper's
@@ -154,62 +155,37 @@ def _solve(n, field, w, source, finish, times):
 
     source(r, out) writes node r's m = t g into out, and finish(r, y_r)
     turns node r's y into the level's field in place; _each_node runs each
-    on every node.  Between them the calling thread runs grids'
-    _log_time_steps, the trapezoid in s = log t one step per node.  Returns
-    the field's series, one buffer throughout (m, then y, then the field);
-    beyond it the solve holds W and three node slabs.
+    on every node.  With its m, each thread folds |exp(-W) m| into a running
+    max over its nodes, and the calling thread takes the max of those: the
+    tail's scale, the same bits in any order, NaN included.  Then grids'
+    _log_time_steps takes the trapezoid in s = log t one step per node.
+    Returns the field's series, one buffer throughout (m, then y, then the
+    field); beyond it the solve holds W, three node slabs and a running max
+    per thread.
     """
     # a unit axis before the grid axes: W[j] is (1,) + grid for k and
     # (3, 1) + grid, one W per frame row, for the frame
     big_w = np.expand_dims(_integrating_factor(n, field, w, times), -4)
     m = np.empty((times.n_steps, 3, 3) + w.shape[-3:])
-    _each_node(lambda r: source(r, m[r]), times.n_steps)
+    scales = {}  # each thread's running max, by thread
+
+    def source_and_scale(r):
+        source(r, m[r])
+        normalized = np.multiply(np.exp(-big_w[r]), m[r])
+        np.abs(normalized, out=normalized)
+        scale = scales.setdefault(threading.get_ident(), normalized)
+        np.maximum(scale, normalized, out=scale)
+
+    _each_node(source_and_scale, times.n_steps)
+    scale, *others = scales.values()
+    for other in others:
+        np.maximum(scale, other, out=scale)
     try:
-        _log_time_steps(m, big_w, times)
+        _log_time_steps(m, big_w, scale, times)
     except NonIntegrableError as err:
         raise NonIntegrableError(f"{field} update at level {n}: {err}") from err
     _each_node(lambda r: finish(r, m[r]), times.n_steps)
     return m
-
-
-def _each_node(fn, m):
-    """fn(r) for every node r = 0..m-1, on one thread per usable core.
-
-    Node r goes to share r mod T of T = min(cores, m) threads, and the
-    calling thread runs share 0; with one core this is the plain loop.  fn
-    must write only what belongs to node r.  Each share stops at its first
-    exception.  Every thread is joined before this returns or raises, and
-    the exception of the lowest failing node is re-raised: as the plain
-    loop, which stops at that node, would raise it.
-    """
-    # the cores this process may run on where the platform says (Linux),
-    # else all of them: macOS and Windows have no sched_getaffinity
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    n_threads = min(cores, m)
-    failures = [None] * n_threads  # (r, exception) of each share's first failure
-
-    def share(j):
-        for r in range(j, m, n_threads):
-            try:
-                fn(r)
-            except Exception as err:  # re-raised on the calling thread
-                failures[j] = (r, err)
-                return
-
-    workers = []  # the started ones
-    try:
-        for j in range(1, n_threads):
-            worker = threading.Thread(target=share, args=(j,))
-            worker.start()
-            workers.append(worker)
-        share(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    raised = [failure for failure in failures if failure is not None]
-    if raised:
-        raise min(raised, key=lambda failure: failure[0])[1]
 
 
 def advance_k(n, previous, zeroth):
@@ -219,9 +195,10 @@ def advance_k(n, previous, zeroth):
     per-node sup norm of the part the symmetrization discarded.
 
     Memory: the solve's one series-sized buffer, which becomes k_series;
-    W, a ninth of a series; a few node slabs on the calling thread; and one
-    node's working set per thread: a Ricci evaluation, 22 MB at n = 32
-    (measured).
+    W, a ninth of a series; three node slabs for the steps, split over
+    their threads; and per thread one node's working set, a Ricci
+    evaluation (22 MB at n = 32, measured), and a running max of the
+    tail's scale, one node slab.
     """
     if n < 1:
         raise ConfigError(f"advance_k needs n >= 1, got {n}")
@@ -253,7 +230,7 @@ def advance_e(n, k_n, previous, zeroth):
 
     Memory: as in advance_k, with e_series in place of k_series and a W of
     a third of a series; a node's working set here is a few node slabs,
-    under a Ricci evaluation's.
+    under a Ricci evaluation's, beside the thread's running max.
     """
     if n < 1:
         raise ConfigError(f"advance_e needs n >= 1, got {n}")
@@ -342,7 +319,12 @@ def build_tower(data, times, n_max):
         k_n, asym_norms = advance_k(n, prev, levels[0])
         e_n = advance_e(n, k_n, prev, levels[0])
         level = IterateSet(n, data, times, e_n, k_n, asym_norms)
-        diff = np.array([np.abs(k_r - prev_r).max() for k_r, prev_r in zip(k_n, prev.k)])
+        diff = np.empty(times.n_steps)
+
+        def k_diff(r):
+            diff[r] = np.abs(k_n[r] - prev.k[r]).max()
+
+        _each_node(k_diff, times.n_steps)
         predicted = -1.0 + n * eps
         report = dict(level=n, quantity="k_diff_sup", predicted=predicted, fitted=None, r2=None)
         # exactly-zero differences (the fixed point, or node 0 where the tail

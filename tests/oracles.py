@@ -452,7 +452,9 @@ def _onesided_faces(df, values, axis, h):
 
 def roll_stencil_reference(values, axis, h, mode="periodic"):
     """Centered fourth-order first derivative along axis (1..3 from the end)
-    by np.roll, with one-sided face rows in localized mode."""
+    by np.roll, in the kernel's operation order ((f1 - f-1) 8 - (f2 - f-2))
+    / 12h on every node, the periodic faces included, with one-sided face
+    rows in localized mode."""
     ax = values.ndim - 3 + (axis - 1)
     df = (
         8.0 * (np.roll(values, -1, ax) - np.roll(values, 1, ax))

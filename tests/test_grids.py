@@ -4,6 +4,7 @@ from the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,39 @@ class TestFdDerivative:
         for axis in (1, 2, 3):
             got = stencil(values, axis, 0.3, mode)
             assert np.array_equal(got, roll_stencil_reference(values, axis, 0.3, mode))
+
+    # n = 8: the seam's gathered ring of 8 nodes is the whole axis; n = 33:
+    # flat spans of 35937 entries and more, not a multiple of the kernel's
+    # block; a (41, 3, 3) series only at n = 8 and 9 (9 blocks at n = 9), as
+    # at n = 33 one copy of it is 106 MB
+    @pytest.mark.parametrize(
+        "n, lead",
+        [(n, lead) for n in (8, 9, 24, 33) for lead in ((), (3,), (3, 3))] + [(8, (41, 3, 3)), (9, (41, 3, 3))],
+        ids=lambda v: f"n{v}" if isinstance(v, int) else "x".join(map(str, v)) or "scalar",
+    )
+    def test_periodic_matches_roll_reference_bitwise(self, n, lead):
+        g = SpatialGrid(1.3, n)
+        values = np.random.default_rng(n).normal(size=lead + g.shape)
+        for axis in (1, 2, 3):
+            assert fd_diff(values, axis, g).tobytes() == roll_stencil_reference(values, axis, g.h).tobytes()
+
+    def test_working_memory_is_a_few_blocks(self):
+        # beyond the output: the seam's ring of 8 nodes and its derivative
+        # (8/32 of the field each, 2.25 blocks) and one block's temporary;
+        # [measured] 5.51 blocks of 2**15 entries on every axis, where the
+        # whole-span kernel's temporary took 9.0 (0.9 of the field, and the
+        # faces' own)
+        g = make_grid(32)
+        values = np.random.default_rng(4).normal(size=(3, 3) + g.shape)
+        block = 2**15 * values.itemsize
+        for axis in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                out = fd_diff(values, axis, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 6 * block
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ConfigError, match="^need at least 5 nodes along the axis$"):

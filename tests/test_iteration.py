@@ -6,21 +6,23 @@ ODE, the tower's working memory, and the decay-rate fit."""
 
 import math
 import os
+import re
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kasnerlab import iteration
+from kasnerlab import grids, iteration
 from kasnerlab.asymdata import AsymptoticDataSet, frame_matrix_from_metric
 from kasnerlab.errors import ConfigError, NonIntegrableError, SingularFrameError
 from kasnerlab.geometry import FrameState, torsion_residual
 from kasnerlab.families import homogeneous_dataset, layered_dataset, random_dataset, u_wave_dataset
-from kasnerlab.grids import LOCALIZED, TAIL_NOISE_FLOOR, LogTimeGrid, SpatialGrid
+from kasnerlab.grids import LOCALIZED, TAIL_NOISE_FLOOR, LogTimeGrid, SpatialGrid, _each_node
 from kasnerlab.iteration import (
     IterateSet,
-    _each_node,
+    _solve,
     advance_e,
     advance_k,
     build_tower,
@@ -309,7 +311,7 @@ class TestNodeThreads:
         # the threads of one _each_node call run at once, so their idents
         # are distinct; across calls an ident may be reused or not
         data = family(SpatialGrid(DELTA, 8))
-        towers, threads = [], []
+        towers, calls = [], []
         for cores in (1, 2):
             _usable_cores(monkeypatch, cores)
             per_call = []
@@ -322,13 +324,19 @@ class TestNodeThreads:
                     fn(r)
 
                 _each_node(recording, m)
-                per_call.append(len(seen))
+                per_call.append((m, len(seen)))
 
+            # grids runs the steps, iteration the per-node loops
+            monkeypatch.setattr(grids, "_each_node", recording_each_node)
             monkeypatch.setattr(iteration, "_each_node", recording_each_node)
             towers.append(build_tower(data, time_grid(), 2))
-            threads.append(per_call)
-        # two levels, two updates each, a source and a finish per update
-        assert threads == [[1] * 8, [2] * 8]
+            calls.append(per_call)
+        # per level: for each update, W's steps over one slab per core, the
+        # sources with the scale, the update's steps and the finishes over
+        # the 41 nodes; then the k-difference over the nodes
+        for cores, per_call in zip((1, 2), calls):
+            update = [(cores, cores), (41, cores), (cores, cores), (41, cores)]
+            assert per_call == 2 * (2 * update + [(41, cores)])
         for one, two in zip(*towers):
             assert one.e.tobytes() == two.e.tobytes()
             assert one.k.tobytes() == two.k.tobytes()
@@ -360,6 +368,56 @@ class TestNodeThreads:
         t = zeroth.times.times[nodes[0]]
         assert texts[0] == texts[1]
         assert texts[0].startswith(f"tower level 1 at t={t:.6e}: frame determinant")
+
+    def test_head_abort_names_the_first_component_in_c_order_on_any_core_count(self, monkeypatch):
+        # two turning heads, each peaking between nodes 0 and 1, so the
+        # two-node fit reads them as flat and the head as the series max:
+        # one in the first x^1 slab of a two-core split, at a later C-order
+        # index than one in the second slab; a tail taken per slab would name
+        # the first slab's, at a slab-relative index or not
+        times = time_grid()
+        t = times.times
+        w = np.broadcast_to(0.1 * t.reshape(-1, 1, 1, 1) ** -0.5, (t.size, 8, 8, 8))
+        heads = {(2, 2, 1, 3, 4): 3e-3, (0, 1, 6, 2, 5): 2e-3}
+
+        def source(r, out):
+            out[...] = t[r] ** 0.5  # an integrable power law elsewhere
+            for comp, amp in heads.items():
+                out[comp] = amp * math.exp(-((r - 0.4) ** 2) / 50.0)
+
+        texts = []
+        for cores in (1, 2):
+            _usable_cores(monkeypatch, cores)
+            with pytest.raises(NonIntegrableError) as got:
+                _solve(1, "k", w, source, lambda r, y_r: None, times)
+            texts.append(str(got.value))
+        want = r"^k update at level 1: non-integrable growth toward t=0 in component \(0, 1, 6, 2, 5\): "
+        assert texts[0] == texts[1]
+        assert re.match(want, texts[0])
+
+    def test_scale_keeps_every_threads_max_under_fast_switching(self, monkeypatch):
+        # component (0, 0, r % 8, r // 8, 0) is a flat head of 1e-3 whose
+        # series max, 1.0, is node r's alone: losing the running max of the
+        # thread that ran node r leaves the head its own max, which aborts
+        times = time_grid()
+        t = times.times
+        w = np.zeros((t.size, 8, 8, 8))
+
+        def source(r, out):
+            out[...] = t[r] ** 0.5
+            for spike in range(1, t.size):
+                out[0, 0, spike % 8, spike // 8, 0] = 1.0 if r == spike else 1e-3
+
+        solved = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 8):  # 8 threads on any host
+                _usable_cores(monkeypatch, cores)
+                solved.append(_solve(1, "k", w, source, lambda r, y_r: None, times))
+        finally:
+            sys.setswitchinterval(interval)
+        assert solved[0].tobytes() == solved[1].tobytes()
 
     def test_no_worker_outlives_an_abort_on_the_calling_thread(self, monkeypatch):
         zeroth, singular = _singular_at([0])

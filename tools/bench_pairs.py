@@ -167,7 +167,7 @@ def claim_met(summary, pairs_run, better):
 
 
 def host():
-    # cores as iteration._each_node counts them: the ones this process may
+    # cores as grids._cores counts them: the ones this process may
     # run on where the platform says (Linux), else all of them; macOS and
     # Windows have no sched_getaffinity, and Windows no sysconf
     affinity = getattr(os, "sched_getaffinity", None)
